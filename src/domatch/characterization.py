@@ -8,6 +8,10 @@ four conditions with explicit violation witnesses, enumerates maximal
 matchings to search for a certificate, and builds the small total
 dominating set that a maximal matching yields when the minimum degree is
 three or more.
+
+Conditions (iii)/(iv) are local checks over a vertex pool.  Without leaves
+that pool is the set of matched vertices, and the same checks are the
+recognizer's degree-two conditions (i)/(ii); both run one engine here.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .errors import ClassificationError, DomainError, ResourceLimitError
 from .graph import Edge, Graph, min_degree, support_classification
-from .oracles import Matching, is_maximal_matching
+from .oracles import Matching, _edge_masks, _validated_edges, is_maximal_matching
 
 #: Node budget for exhaustive maximal-matching enumeration.
 DEFAULT_ENUMERATION_BUDGET = 10**6
@@ -69,12 +73,6 @@ class CertifyingMatchingResult(NamedTuple):
     report: ConditionReport
 
 
-def _validate_edges(g: Graph, m: Matching) -> None:
-    for e in m:
-        if not g.has_edge(e.u, e.v):
-            raise DomainError(f"edge {e.u}-{e.v} is not an edge of the graph")
-
-
 def partition_matching(g: Graph, m: Matching) -> MatchingPartition:
     """Classify each matching edge by how many endpoints are support vertices.
 
@@ -83,7 +81,7 @@ def partition_matching(g: Graph, m: Matching) -> MatchingPartition:
     isolated support cannot occur in a certifying matching and is reported
     as a :class:`~domatch.errors.ClassificationError` rather than filed.
     """
-    _validate_edges(g, m)
+    _validated_edges(g, m)
     support = support_classification(g)
     plus: list[Edge] = []
     minus: list[Edge] = []
@@ -110,6 +108,60 @@ def _covered_by(edges: tuple[Edge, ...]) -> set[int]:
         vertices.add(e.u)
         vertices.add(e.v)
     return vertices
+
+
+def _check_local_conditions(
+    g: Graph,
+    m: Matching,
+    pool: list[int],
+    exact_id: str,
+    witness_id: str,
+    violations: list[Violation],
+) -> tuple[bool, bool]:
+    """The two local certificate conditions over the sorted vertex ``pool``.
+
+    ``exact_id``: every pool vertex sees exactly one matched vertex, its
+    partner.  ``witness_id``: whenever two pool vertices u, v share a
+    neighbor, some vertex has neighborhood exactly {p(u), p(v)}.  Appends a
+    :class:`Violation` per failure and returns the two verdicts.  These are
+    conditions (iii)/(iv) over ``S⁻ ∪ V(M*)``; on a leafless graph the pool
+    is ``V(M)`` and they are the degree-two conditions (i)/(ii).
+    """
+    matched = m.covered
+    exact_ok = True
+    for v in pool:
+        partner = m.partner(v)
+        matched_neighbors = sorted(g.neighbors(v) & matched)
+        if matched_neighbors != [partner]:
+            exact_ok = False
+            violations.append(
+                Violation(
+                    exact_id,
+                    (v, *matched_neighbors),
+                    (),
+                    f"vertex {v} must see exactly its partner {partner} among"
+                    " matched vertices",
+                )
+            )
+
+    witness_ok = True
+    for a in range(len(pool)):
+        for b in range(a + 1, len(pool)):
+            u, v = pool[a], pool[b]
+            if not g.neighbors(u) & g.neighbors(v):
+                continue
+            wanted = {m.partner(u), m.partner(v)}
+            if not any(g.neighbors(x) == wanted for x in g.vertices()):
+                witness_ok = False
+                violations.append(
+                    Violation(
+                        witness_id,
+                        (u, v),
+                        (),
+                        f"no vertex has neighborhood exactly {sorted(wanted)}",
+                    )
+                )
+    return exact_ok, witness_ok
 
 
 def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
@@ -194,41 +246,7 @@ def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
     verdict_ii = not unmatched_minus and not bad_minus_edges
 
     pool = sorted(support.s_minus | _covered_by(partition.m_star))
-    matched = m.covered
-    verdict_iii = True
-    for v in pool:
-        partner = m.partner(v)
-        matched_neighbors = sorted(g.neighbors(v) & matched)
-        if matched_neighbors != [partner]:
-            verdict_iii = False
-            violations.append(
-                Violation(
-                    "iii",
-                    (v, *matched_neighbors),
-                    (),
-                    f"vertex {v} must see exactly its partner {partner} among"
-                    " matched vertices",
-                )
-            )
-
-    verdict_iv = True
-    for a in range(len(pool)):
-        for b in range(a + 1, len(pool)):
-            u, v = pool[a], pool[b]
-            if not g.neighbors(u) & g.neighbors(v):
-                continue
-            wanted = {m.partner(u), m.partner(v)}
-            if not any(g.neighbors(x) == wanted for x in g.vertices()):
-                verdict_iv = False
-                violations.append(
-                    Violation(
-                        "iv",
-                        (u, v),
-                        (),
-                        f"no vertex has neighborhood exactly {sorted(wanted)}",
-                    )
-                )
-
+    verdict_iii, verdict_iv = _check_local_conditions(g, m, pool, "iii", "iv", violations)
     verdicts = {"i": verdict_i, "ii": verdict_ii, "iii": verdict_iii, "iv": verdict_iv}
     return ConditionReport(verdicts, tuple(violations))
 
@@ -243,21 +261,17 @@ def iter_maximal_matchings(
     sorted edge-index tuples.  Search effort is metered; crossing ``budget``
     nodes raises :class:`~domatch.errors.ResourceLimitError`.
     """
-    edges = g.edges()
+    edges, kill, max_killer = _edge_masks(g)
     m = len(edges)
     if m == 0:
         yield Matching(())
         return
-    incident = [0] * g.vertex_count
-    for i, e in enumerate(edges):
-        incident[e.u] |= 1 << i
-        incident[e.v] |= 1 << i
-    kill = [incident[e.u] | incident[e.v] for e in edges]
-    max_killer = [k.bit_length() - 1 for k in kill]
+    # Explicit stack of (next edge index, undominated edges, chosen indices);
+    # the exclude branch is pushed first so the include branch pops first.
+    stack = [(0, (1 << m) - 1, ())]
     nodes = 0
-
-    def dfs(i: int, undominated: int, chosen: tuple[int, ...]) -> Iterator[Matching]:
-        nonlocal nodes
+    while stack:
+        i, undominated, chosen = stack.pop()
         nodes += 1
         if nodes > budget:
             raise ResourceLimitError(
@@ -266,17 +280,13 @@ def iter_maximal_matchings(
         if undominated == 0:
             # No edge has two uncovered endpoints, so nothing can be added.
             yield Matching(edges[j] for j in chosen)
-            return
+            continue
         first = (undominated & -undominated).bit_length() - 1
         if max_killer[first] < i:
-            return  # the least undominated edge is out of reach
-        if i == m:
-            return
+            continue  # the least undominated edge is out of reach
+        stack.append((i + 1, undominated, chosen))
         if undominated >> i & 1:
-            yield from dfs(i + 1, undominated & ~kill[i], chosen + (i,))
-        yield from dfs(i + 1, undominated, chosen)
-
-    yield from dfs(0, (1 << m) - 1, ())
+            stack.append((i + 1, undominated & ~kill[i], chosen + (i,)))
 
 
 def find_certifying_matching(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .characterization import (
     ConditionReport,
@@ -68,17 +68,23 @@ MAX_VERTICES_ENV = "DOMATCH_MAX_VERTICES"
 _FAMILIES = ("spider", "subdivided-grid", "k-family", "cycle", "path", "prop2", "family-f")
 
 
+def _read_text(path: str) -> str:
+    """Contents of a graph or matching file, which must be UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as error:
+        raise EdgeListFormatError(f"{path} is not UTF-8 text: {error}") from None
+
+
 def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
+    return parse_edge_list(_read_text(path))
 
 
 def _load_matching_edges(g: Graph, path: str) -> list[Edge]:
     """Matching files hold edge lines in the graph's labels, plus comments."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     edges: list[Edge] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -123,8 +129,8 @@ def _machine_header(argv: Sequence[str], g: Graph) -> list[str]:
     return lines
 
 
-def _emit_machine(lines: list[str], code: int) -> int:
-    print("\n".join(lines + [f"exit: {code}"]))
+def _emit(lines: list[str], code: int, *, machine: bool) -> int:
+    print("\n".join(lines + [f"exit: {code}"] if machine else lines))
     return code
 
 
@@ -135,50 +141,38 @@ def _edge_label(g: Graph, e: Edge) -> str:
 def _run_gamma_t(args: argparse.Namespace, argv: Sequence[str]) -> int:
     g = _load_graph(args.graph)
     result = total_domination_number(g, max_vertices=_resolve_limit(args.max_vertices))
-    witness = sorted(result.witness)
+    witness = [g.label(v) for v in sorted(result.witness)]
     if args.machine:
-        lines = _machine_header(argv, g)
-        lines.append(f"gamma_t: {result.value}")
-        lines += [f"witness_vertex: {g.label(v)}" for v in witness]
-        return _emit_machine(lines, 0)
-    print(f"gamma_t = {result.value}")
-    print("witness: " + " ".join(g.label(v) for v in witness))
-    return 0
+        lines = _machine_header(argv, g) + [f"gamma_t: {result.value}"]
+        lines += [f"witness_vertex: {label}" for label in witness]
+    else:
+        lines = [f"gamma_t = {result.value}", "witness: " + " ".join(witness)]
+    return _emit(lines, 0, machine=args.machine)
 
 
 def _run_mu_star(args: argparse.Namespace, argv: Sequence[str]) -> int:
     g = _load_graph(args.graph)
     result = minimum_maximal_matching(g, max_vertices=_resolve_limit(args.max_vertices))
     assert isinstance(result.witness, Matching)
+    witness = [_edge_label(g, e) for e in result.witness]
     if args.machine:
-        lines = _machine_header(argv, g)
-        lines.append(f"mu_star: {result.value}")
-        lines += [f"witness_edge: {_edge_label(g, e)}" for e in result.witness]
-        return _emit_machine(lines, 0)
-    print(f"mu_star = {result.value}")
-    print("witness: " + ", ".join(_edge_label(g, e) for e in result.witness))
-    return 0
+        lines = _machine_header(argv, g) + [f"mu_star: {result.value}"]
+        lines += [f"witness_edge: {label}" for label in witness]
+    else:
+        lines = [f"mu_star = {result.value}", "witness: " + ", ".join(witness)]
+    return _emit(lines, 0, machine=args.machine)
 
 
 def _run_bounds(args: argparse.Namespace, argv: Sequence[str]) -> int:
     g = _load_graph(args.graph)
     report = check_matching_bound(g, max_vertices=_resolve_limit(args.max_vertices))
-    code = 0 if report.holds else 1
-    if args.machine:
-        lines = _machine_header(argv, g)
-        lines.append(f"gamma_t: {report.gamma_t}")
-        lines.append(f"mu_star: {report.mu_star}")
-        lines.append(f"bound: {report.bound}")
-        lines.append(f"slack: {report.slack}")
-        lines.append("holds: yes" if report.holds else "holds: no")
-        return _emit_machine(lines, code)
-    print(f"min_degree = {report.min_degree}")
-    print(f"gamma_t = {report.gamma_t}")
-    print(f"mu_star = {report.mu_star}")
-    print(f"bound = {report.bound}")
-    print(f"slack = {report.slack}")
-    print("holds: yes" if report.holds else "holds: no")
-    return code
+    # The machine header already carries the minimum degree.
+    lines = _machine_header(argv, g) if args.machine else [f"min_degree = {report.min_degree}"]
+    separator = ": " if args.machine else " = "
+    for key in ("gamma_t", "mu_star", "bound", "slack"):
+        lines.append(f"{key}{separator}{getattr(report, key)}")
+    lines.append("holds: yes" if report.holds else "holds: no")
+    return _emit(lines, 0 if report.holds else 1, machine=args.machine)
 
 
 def _certificate_human(g: Graph, certificate) -> str:
@@ -223,32 +217,31 @@ def _run_recognize(args: argparse.Namespace, argv: Sequence[str]) -> int:
         )
         return 2
     outcome = recognize(g)
-    oracle_line: str | None = None
     if args.oracle:
         oracle_verdict = is_tight_graph(g, max_vertices=_resolve_limit(args.max_vertices))
         if oracle_verdict != outcome.verdict:
             print("error: recognizer and oracle disagree", file=sys.stderr)
             return 2
-        oracle_line = "oracle: agrees"
-    code = 0 if outcome.verdict else 1
-    if args.machine:
-        lines = _machine_header(argv, g)
-        for index, component in enumerate(outcome.components, start=1):
+    lines = _machine_header(argv, g) if args.machine else []
+    for index, component in enumerate(outcome.components, start=1):
+        if args.machine:
             lines.append(f"component: {index}")
             lines.append(f"component_verdict: {'yes' if component.verdict else 'no'}")
             lines += _certificate_machine(g, component.certificate)
-        lines.append(f"verdict: {'yes' if outcome.verdict else 'no'}")
-        if oracle_line:
-            lines.append(oracle_line)
-        return _emit_machine(lines, code)
-    for index, component in enumerate(outcome.components, start=1):
-        size = len(component.vertices)
-        print(f"component {index} ({size} vertices): "
-              + _certificate_human(g, component.certificate))
-    print(f"verdict: {'yes' if outcome.verdict else 'no'}")
-    if oracle_line:
-        print(oracle_line)
-    return code
+        else:
+            size = len(component.vertices)
+            lines.append(f"component {index} ({size} vertices): "
+                         + _certificate_human(g, component.certificate))
+    lines.append(f"verdict: {'yes' if outcome.verdict else 'no'}")
+    if args.oracle:
+        lines.append("oracle: agrees")
+    return _emit(lines, 0 if outcome.verdict else 1, machine=args.machine)
+
+
+def _condition_line(condition: str, verdict: bool, *, machine: bool) -> str:
+    if machine:
+        return f"condition_{condition}: {'yes' if verdict else 'no'}"
+    return f"condition {condition}: {'ok' if verdict else 'violated'}"
 
 
 def _condition_lines(
@@ -256,10 +249,7 @@ def _condition_lines(
 ) -> list[str]:
     lines: list[str] = []
     for condition, verdict in report.verdicts.items():
-        if machine:
-            lines.append(f"condition_{condition}: {'yes' if verdict else 'no'}")
-        else:
-            lines.append(f"condition {condition}: {'ok' if verdict else 'violated'}")
+        lines.append(_condition_line(condition, verdict, machine=machine))
         for violation in report.violations:
             if violation.condition != condition:
                 continue
@@ -284,57 +274,34 @@ def _run_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if machine:
         lines += [f"matching_edge: {_edge_label(g, e)}" for e in sorted(set(edges))]
 
+    report: ConditionReport | None = None
     if not is_matching(g, edges):
-        if machine:
-            lines += ["matching: no", "verdict: fails"]
-            return _emit_machine(lines, 1)
-        print("matching: no (edges share an endpoint)")
-        print("verdict: certificate fails")
-        return 1
-    if machine:
-        lines.append("matching: yes")
-    m = Matching(edges)
-
-    if delta == 1:
-        if not is_maximal_matching(g, m.edges):
-            if machine:
-                lines += ["condition_maximal: no", "verdict: fails"]
-                return _emit_machine(lines, 1)
-            print("condition maximal: violated")
-            print("verdict: certificate fails")
-            return 1
-        partition = partition_matching(g, m)
-        report = check_certificate_conditions(g, m)
-        if machine:
-            lines.append("condition_maximal: yes")
-            for name, part in (
-                ("m_plus", partition.m_plus),
-                ("m_minus", partition.m_minus),
-                ("m_star", partition.m_star),
-            ):
-                lines += [f"{name}_edge: {_edge_label(g, e)}" for e in part]
-        else:
-            print("condition maximal: ok")
-            for name, part in (
-                ("m_plus", partition.m_plus),
-                ("m_minus", partition.m_minus),
-                ("m_star", partition.m_star),
-            ):
-                shown = ", ".join(_edge_label(g, e) for e in part) or "none"
-                print(f"{name}: {shown}")
+        lines.append("matching: no" if machine else "matching: no (edges share an endpoint)")
     else:
-        report = check_degree_two_certificate(g, m)
+        if machine:
+            lines.append("matching: yes")
+        m = Matching(edges)
+        if delta == 2:
+            report = check_degree_two_certificate(g, m)
+        else:
+            maximal = is_maximal_matching(g, m.edges)
+            lines.append(_condition_line("maximal", maximal, machine=machine))
+            if maximal:
+                partition = partition_matching(g, m)
+                report = check_certificate_conditions(g, m)
+                for name, part in vars(partition).items():  # field names are output keys
+                    if machine:
+                        lines += [f"{name}_edge: {_edge_label(g, e)}" for e in part]
+                    else:
+                        shown = ", ".join(_edge_label(g, e) for e in part) or "none"
+                        lines.append(f"{name}: {shown}")
+    if report is not None:
+        lines += _condition_lines(g, report, machine=machine)
 
-    condition_lines = _condition_lines(g, report, machine=machine)
-    code = 0 if report.holds else 1
-    if machine:
-        lines += condition_lines
-        lines.append("verdict: holds" if report.holds else "verdict: fails")
-        return _emit_machine(lines, code)
-    for line in condition_lines:
-        print(line)
-    print("verdict: certificate holds" if report.holds else "verdict: certificate fails")
-    return code
+    holds = report is not None and report.holds
+    verdict = "holds" if holds else "fails"
+    lines.append(f"verdict: {verdict}" if machine else f"verdict: certificate {verdict}")
+    return _emit(lines, 0 if holds else 1, machine=machine)
 
 
 def _run_generate(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -380,14 +347,14 @@ def _run_generate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0
 
 
-_DISPATCH: dict[str, Callable[[argparse.Namespace, Sequence[str]], int]] = {
-    "gamma-t": _run_gamma_t,
-    "mu-star": _run_mu_star,
-    "bounds": _run_bounds,
-    "recognize": _run_recognize,
-    "verify": _run_verify,
-    "generate": _run_generate,
-}
+#: Subcommands over one graph file, in help order: name, handler, help.
+_GRAPH_COMMANDS = (
+    ("gamma-t", _run_gamma_t, "exact total domination number"),
+    ("mu-star", _run_mu_star, "exact minimum maximal matching number"),
+    ("bounds", _run_bounds, "degree-aware matching bound report"),
+    ("recognize", _run_recognize, "decide minimum-degree-two graphs"),
+    ("verify", _run_verify, "check a matching certificate"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -397,9 +364,18 @@ def _build_parser() -> argparse.ArgumentParser:
         " number is twice the minimum maximal matching number.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_common(p: argparse.ArgumentParser, *, limit: bool) -> None:
-        if limit:
+    for name, run, help_text in _GRAPH_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("graph", help="edge-list file")
+        if name == "recognize":
+            p.add_argument(
+                "--oracle",
+                action="store_true",
+                help="cross-check the verdict against the exact solvers",
+            )
+        if name == "verify":
+            p.add_argument("matching", help="matching file: one edge per line, graph labels")
+        else:
             p.add_argument(
                 "--max-vertices",
                 type=int,
@@ -407,37 +383,13 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="solver vertex limit (default 24; env DOMATCH_MAX_VERTICES)",
             )
         p.add_argument("--machine", action="store_true", help="stable key/value output")
-
-    p = sub.add_parser("gamma-t", help="exact total domination number")
-    p.add_argument("graph", help="edge-list file")
-    with_common(p, limit=True)
-
-    p = sub.add_parser("mu-star", help="exact minimum maximal matching number")
-    p.add_argument("graph", help="edge-list file")
-    with_common(p, limit=True)
-
-    p = sub.add_parser("bounds", help="degree-aware matching bound report")
-    p.add_argument("graph", help="edge-list file")
-    with_common(p, limit=True)
-
-    p = sub.add_parser("recognize", help="decide minimum-degree-two graphs")
-    p.add_argument("graph", help="edge-list file")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check the verdict against the exact solvers",
-    )
-    with_common(p, limit=True)
-
-    p = sub.add_parser("verify", help="check a matching certificate")
-    p.add_argument("graph", help="edge-list file")
-    p.add_argument("matching", help="matching file: one edge per line, graph labels")
-    with_common(p, limit=False)
+        p.set_defaults(run=run)
 
     p = sub.add_parser("generate", help="emit a named family member as an edge list")
     p.add_argument("family", choices=_FAMILIES)
     p.add_argument("params", nargs="*", type=int, help="family parameters")
     p.add_argument("--seed", type=int, default=None, help="seed for family-f")
+    p.set_defaults(run=_run_generate)
     return parser
 
 
@@ -449,7 +401,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
-        return _DISPATCH[args.command](args, argv)
+        return args.run(args, argv)
     except DomatchError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -157,51 +157,49 @@ def is_total_dominating(g: Graph, candidate: Iterable[int]) -> bool:
     return all(g.neighbors(v) & chosen for v in g.vertices())
 
 
-def _canonical_edges(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> set[Edge]:
-    canonical = {Edge.of(a, b) for a, b in edges}
-    for e in canonical:
+def _validated_edges(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> set[Edge]:
+    """Canonical form of ``edges``; raises if one is not an edge of ``g``."""
+    canonical: set[Edge] = set()
+    for a, b in edges:
+        e = Edge.of(a, b)
         if not g.has_edge(e.u, e.v):
             raise DomainError(f"edge {e.u}-{e.v} is not an edge of the graph")
+        canonical.add(e)
     return canonical
+
+
+def _covered_if_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> set[int] | None:
+    """Vertices covered by ``edges``, or None when two of them share an endpoint."""
+    covered: set[int] = set()
+    for e in _validated_edges(g, edges):
+        if e.u in covered or e.v in covered:
+            return None
+        covered.add(e.u)
+        covered.add(e.v)
+    return covered
 
 
 def is_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bool:
     """True iff ``edges`` are pairwise disjoint edges of ``g``."""
-    canonical = _canonical_edges(g, edges)
-    seen: set[int] = set()
-    for e in canonical:
-        if e.u in seen or e.v in seen:
-            return False
-        seen.add(e.u)
-        seen.add(e.v)
-    return True
+    return _covered_if_matching(g, edges) is not None
 
 
 def is_maximal_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bool:
     """True iff ``edges`` form a matching no edge of ``g`` can extend."""
-    canonical = _canonical_edges(g, edges)
-    if not is_matching(g, canonical):
-        return False
-    covered: set[int] = set()
-    for e in canonical:
-        covered.add(e.u)
-        covered.add(e.v)
-    return all(e.u in covered or e.v in covered for e in g.edges())
+    covered = _covered_if_matching(g, edges)
+    return covered is not None and all(e.u in covered or e.v in covered for e in g.edges())
 
 
-def edge_domination_check(g: Graph, m: Matching) -> bool:
-    """True iff every edge outside ``m`` shares an endpoint with some edge in ``m``.
-
-    Implemented from the edge-domination definition directly, so tests can
-    compare it against :func:`is_maximal_matching` as an independent route.
-    """
-    chosen = _canonical_edges(g, m.edges)
-    for e in g.edges():
-        if e in chosen:
-            continue
-        if not any(d.u in e or d.v in e for d in m):
-            return False
-    return True
+def _edge_masks(g: Graph) -> tuple[tuple[Edge, ...], list[int], list[int]]:
+    """Sorted edges with, per edge index, the bitmask of edges sharing an
+    endpoint with it (itself included) and the highest index in that mask."""
+    edges = g.edges()
+    incident = [0] * g.vertex_count
+    for i, e in enumerate(edges):
+        incident[e.u] |= 1 << i
+        incident[e.v] |= 1 << i
+    kill = [incident[e.u] | incident[e.v] for e in edges]
+    return edges, kill, [k.bit_length() - 1 for k in kill]
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
@@ -261,17 +259,11 @@ def _solve_minimum_maximal_matching(g: Graph) -> tuple[int, tuple[Edge, ...], in
     edges.  An edge set is maximal exactly when no edge has both endpoints
     uncovered, which doubles as the branching candidate set.
     """
-    edges = g.edges()
+    edges, kill, max_killer = _edge_masks(g)
     m = len(edges)
     if m == 0:
         return 0, (), 0
     vmask = [(1 << e.u) | (1 << e.v) for e in edges]
-    incident = [0] * g.vertex_count
-    for i, e in enumerate(edges):
-        incident[e.u] |= 1 << i
-        incident[e.v] |= 1 << i
-    kill = [incident[e.u] | incident[e.v] for e in edges]  # edges touching e, e included
-    max_killer = [k.bit_length() - 1 for k in kill]
     full = (1 << m) - 1
     nodes = 0
 

@@ -6,6 +6,10 @@ the graphs whose induced-six-cycle middle edges form a maximal matching
 satisfying two local conditions.  The recognizer detects the exceptional
 graphs directly, builds the candidate matching from degree-two vertex
 pairs, and reports a checkable certificate or a reasoned refutation.
+
+A leafless graph has no support vertices, so its two conditions are the
+leafy conditions (iii)/(iv) of :mod:`domatch.characterization` taken over
+the matched vertices; both checkers run the same condition engine.
 """
 
 from __future__ import annotations
@@ -13,21 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .characterization import ConditionReport, Violation
+from .characterization import ConditionReport, Violation, _check_local_conditions
 from .errors import DomainError
 from .graph import (
     Edge,
     Graph,
     connected_components,
     degree_two_vertices,
-    girth,
     induced_subgraph,
     is_connected,
     is_cycle_of_length,
     min_degree,
     triangle_book_parameter,
 )
-from .oracles import Matching, is_matching, is_maximal_matching
+from .oracles import Matching, _validated_edges, is_matching, is_maximal_matching
 
 #: Refutation reason codes, stable CLI vocabulary.
 REASON_NOT_MATCHING = "m-not-matching"
@@ -138,14 +141,14 @@ def check_degree_two_certificate(g: Graph, m: Matching) -> ConditionReport:
     Verdicts: ``maximal`` (no graph edge extends m), ``i`` (every matched
     vertex sees exactly its partner among matched vertices), ``ii`` (matched
     vertices u, v sharing a neighbor admit some vertex whose neighborhood is
-    exactly the partner pair).  Requires minimum degree two.
+    exactly the partner pair).  ``i``/``ii`` are the leafy conditions
+    (iii)/(iv) evaluated over the matched vertices.  Requires minimum
+    degree two.
     """
     delta = min_degree(g)
     if delta != 2:
         raise DomainError(f"minimum degree {delta}, expected exactly 2")
-    for e in m:
-        if not g.has_edge(e.u, e.v):
-            raise DomainError(f"edge {e.u}-{e.v} is not an edge of the graph")
+    _validated_edges(g, m)
     violations: list[Violation] = []
 
     verdict_maximal = True
@@ -163,41 +166,9 @@ def check_degree_two_certificate(g: Graph, m: Matching) -> ConditionReport:
             )
             break
 
-    verdict_i = True
-    matched = sorted(covered)
-    for v in matched:
-        partner = m.partner(v)
-        matched_neighbors = sorted(g.neighbors(v) & covered)
-        if matched_neighbors != [partner]:
-            verdict_i = False
-            violations.append(
-                Violation(
-                    "i",
-                    (v, *matched_neighbors),
-                    (),
-                    f"vertex {v} must see exactly its partner {partner} among"
-                    " matched vertices",
-                )
-            )
-
-    verdict_ii = True
-    for a in range(len(matched)):
-        for b in range(a + 1, len(matched)):
-            u, v = matched[a], matched[b]
-            if not g.neighbors(u) & g.neighbors(v):
-                continue
-            wanted = {m.partner(u), m.partner(v)}
-            if not any(g.neighbors(x) == wanted for x in g.vertices()):
-                verdict_ii = False
-                violations.append(
-                    Violation(
-                        "ii",
-                        (u, v),
-                        (),
-                        f"no vertex has neighborhood exactly {sorted(wanted)}",
-                    )
-                )
-
+    verdict_i, verdict_ii = _check_local_conditions(
+        g, m, sorted(covered), "i", "ii", violations
+    )
     verdicts = {"maximal": verdict_maximal, "i": verdict_i, "ii": verdict_ii}
     return ConditionReport(verdicts, tuple(violations))
 
@@ -237,32 +208,13 @@ def _component_outcome(g: Graph) -> ComponentOutcome:
             ),
         )
     report = check_degree_two_certificate(g, m)
-    if not report.verdicts["i"]:
-        first = next(v for v in report.violations if v.condition == "i")
-        return ComponentOutcome(
-            vertices, False, Refutation(REASON_CONDITION_I, first.vertices, first.message)
-        )
-    if not report.verdicts["ii"]:
-        first = next(v for v in report.violations if v.condition == "ii")
-        return ComponentOutcome(
-            vertices, False, Refutation(REASON_CONDITION_II, first.vertices, first.message)
-        )
+    for condition, reason in (("i", REASON_CONDITION_I), ("ii", REASON_CONDITION_II)):
+        if not report.verdicts[condition]:
+            first = next(v for v in report.violations if v.condition == condition)
+            return ComponentOutcome(
+                vertices, False, Refutation(reason, first.vertices, first.message)
+            )
     return ComponentOutcome(vertices, True, CertifyingMatching(m, report))
-
-
-def recognize_component(g: Graph) -> RecognitionOutcome:
-    """Decide one connected graph of minimum degree exactly two.
-
-    Order of checks: triangle book, six-cycle, then the candidate matching
-    with its two conditions.  Refutations name the first failed check.
-    """
-    if not is_connected(g):
-        raise DomainError("graph is not connected")
-    delta = min_degree(g)
-    if delta != 2:
-        raise DomainError(f"minimum degree {delta}, expected exactly 2")
-    outcome = _component_outcome(g)
-    return RecognitionOutcome(outcome.verdict, (outcome,))
 
 
 def _remap_certificate(cert: Certificate, original: tuple[int, ...]) -> Certificate:
@@ -283,7 +235,9 @@ def recognize(g: Graph) -> RecognitionOutcome:
     invariants is additive across components, so one failing component
     sinks the whole graph.  Components whose own minimum degree exceeds two
     are refuted directly (no leafless graph of minimum degree three or more
-    reaches equality).
+    reaches equality).  Within a component the checks run in order: triangle
+    book, six-cycle, then the candidate matching with its two conditions;
+    refutations name the first failed check.
     """
     delta = min_degree(g)
     if delta != 2:
@@ -311,11 +265,3 @@ def recognize(g: Graph) -> RecognitionOutcome:
         )
     return RecognitionOutcome(all(o.verdict for o in outcomes), tuple(outcomes))
 
-
-def girth_bound_check(g: Graph) -> bool:
-    """True iff the girth is at most six.
-
-    Every recognized leafless graph satisfies this; exposed for diagnostics
-    and cross-checks rather than as part of the decision itself.
-    """
-    return girth(g) <= 6

@@ -14,7 +14,7 @@ import random
 
 import networkx as nx
 
-from domatch import Edge, Graph, is_connected, min_degree
+from domatch import Edge, Graph, Matching, girth, is_connected, min_degree
 
 # ---------------------------------------------------------------------------
 # brute-force references
@@ -72,6 +72,27 @@ def brute_maximal_matchings(g: Graph) -> set[frozenset[Edge]]:
             if is_matching_edges(combo) and is_maximal_edges(g, combo):
                 found.add(frozenset(combo))
     return found
+
+
+def edge_domination_check(g: Graph, m: Matching) -> bool:
+    """True iff every edge outside ``m`` shares an endpoint with some edge in ``m``.
+
+    Written from the edge-domination definition directly, so tests can
+    compare it against :func:`domatch.is_maximal_matching` as an
+    independent route.
+    """
+    chosen = set(m.edges)
+    for e in g.edges():
+        if e in chosen:
+            continue
+        if not any(d.u in e or d.v in e for d in m):
+            return False
+    return True
+
+
+def girth_bound_check(g: Graph) -> bool:
+    """True iff the girth is at most six, as for every recognized leafless graph."""
+    return girth(g) <= 6
 
 
 def brute_girth(g: Graph) -> int | float:

@@ -204,6 +204,16 @@ def test_enumeration_budget():
         list(iter_maximal_matchings(subdivided_grid(2), budget=2))
 
 
+def test_enumeration_depth_is_not_bounded_by_recursion():
+    # one search level per edge, far past the interpreter's recursion limit
+    for g in (path(1200), cycle(1200)):
+        first = next(iter_maximal_matchings(g))
+        assert len(first) == 600
+        assert is_maximal_matching(g, first.edges)
+    with pytest.raises(ResourceLimitError, match="exceeded 10000 nodes"):
+        list(iter_maximal_matchings(path(1200), budget=10_000))
+
+
 # ---------------------------------------------------------------------------
 # searching for a certifying matching
 

@@ -60,6 +60,27 @@ def test_gamma_t_rejects_isolated_vertex(tmp_path, capsys):
     assert "isolated vertex: gamma_t undefined" in captured.err
 
 
+def test_non_utf8_graph_file_is_a_format_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff b\n")
+    rc = main(["gamma-t", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "is not UTF-8 text" in captured.err
+
+
+def test_non_utf8_matching_file_is_a_format_error(tmp_path, capsys):
+    graph = write_graph(tmp_path, spider(2))
+    bad = tmp_path / "m.txt"
+    bad.write_bytes(b"x1 y1\n\xfe\n")
+    rc = main(["verify", graph, str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "is not UTF-8 text" in captured.err
+
+
 def test_missing_graph_file(tmp_path, capsys):
     rc = main(["gamma-t", str(tmp_path / "nope.txt")])
     assert rc == 2
@@ -310,3 +331,122 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("gamma_t = 2")
+
+
+# ---------------------------------------------------------------------------
+# human output, byte for byte
+
+GOLDEN_GRAPHS = {
+    "spider3": lambda: spider(3),
+    "spider2": lambda: spider(2),
+    "c4": lambda: cycle(4),
+    "k4": k4,
+    "grid2": lambda: subdivided_grid(2),
+    "c7": lambda: cycle(7),
+    "c6+c4": lambda: helpers.disjoint_union(cycle(6), cycle(4)),
+}
+
+#: (subcommand, graph, matching file text or None, exit code, full stdout)
+HUMAN_GOLDEN = [
+    ("gamma-t", "spider3", None, 0, "gamma_t = 6\nwitness: x1 y1 x2 y2 x3 y3\n"),
+    ("mu-star", "c4", None, 0, "mu_star = 2\nwitness: v0 v1, v2 v3\n"),
+    (
+        "bounds",
+        "k4",
+        None,
+        0,
+        "min_degree = 3\ngamma_t = 2\nmu_star = 2\nbound = 3\nslack = 1\nholds: yes\n",
+    ),
+    (
+        "recognize",
+        "grid2",
+        None,
+        0,
+        "component 1 (10 vertices): yes - certifying matching: u0 v0, u1 v1, u2 v2\n"
+        "verdict: yes\n",
+    ),
+    (
+        "recognize",
+        "c7",
+        None,
+        1,
+        "component 1 (7 vertices): no - m-not-maximal: candidate matching of 0 edges"
+        " is not maximal\nverdict: no\n",
+    ),
+    (
+        "recognize",
+        "c6+c4",
+        None,
+        1,
+        "component 1 (6 vertices): yes - six-cycle\n"
+        "component 2 (4 vertices): no - m-not-maximal: candidate matching of 0 edges"
+        " is not maximal\nverdict: no\n",
+    ),
+    (
+        "verify",
+        "spider2",
+        "x1 y1\nx2 y2\n",
+        0,
+        "condition maximal: ok\nm_plus: none\nm_minus: x1 y1, x2 y2\nm_star: none\n"
+        "condition i: ok\ncondition ii: ok\ncondition iii: ok\ncondition iv: ok\n"
+        "verdict: certificate holds\n",
+    ),
+    (
+        "verify",
+        "spider2",
+        "x1 y1\n",
+        1,
+        "condition maximal: violated\nverdict: certificate fails\n",
+    ),
+    (
+        "verify",
+        "spider2",
+        "x1 y1\ny1 z1\n",
+        1,
+        "matching: no (edges share an endpoint)\nverdict: certificate fails\n",
+    ),
+    (
+        "verify",
+        "spider2",
+        "c x1\ny1 z1\ny2 z2\n",
+        1,
+        "condition maximal: ok\nm_plus: none\nm_minus: y1 z1, y2 z2\nm_star: c x1\n"
+        "condition i: ok\ncondition ii: ok\ncondition iii: violated\n"
+        "  vertex 1 must see exactly its partner 0 among matched vertices"
+        " (vertices: x1 c y1)\n"
+        "  vertex 2 must see exactly its partner 3 among matched vertices"
+        " (vertices: y1 x1 z1)\n"
+        "condition iv: violated\n"
+        "  no vertex has neighborhood exactly [1, 6] (vertices: c y2)\n"
+        "verdict: certificate fails\n",
+    ),
+    (
+        "verify",
+        "c4",
+        "v0 v1\nv2 v3\n",
+        1,
+        "condition maximal: ok\ncondition i: violated\n"
+        "  vertex 0 must see exactly its partner 1 among matched vertices"
+        " (vertices: v0 v1 v3)\n"
+        "  vertex 1 must see exactly its partner 0 among matched vertices"
+        " (vertices: v1 v0 v2)\n"
+        "  vertex 2 must see exactly its partner 3 among matched vertices"
+        " (vertices: v2 v1 v3)\n"
+        "  vertex 3 must see exactly its partner 2 among matched vertices"
+        " (vertices: v3 v0 v2)\n"
+        "condition ii: ok\nverdict: certificate fails\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, graph, matching, code, expected",
+    HUMAN_GOLDEN,
+    ids=[f"{row[0]}-{row[1]}-{i}" for i, row in enumerate(HUMAN_GOLDEN)],
+)
+def test_human_output_golden(tmp_path, capsys, command, graph, matching, code, expected):
+    argv = [command, write_graph(tmp_path, GOLDEN_GRAPHS[graph]())]
+    if matching is not None:
+        argv.append(write_text(tmp_path, matching, "m.txt"))
+    assert main(argv) == code
+    assert capsys.readouterr().out == expected

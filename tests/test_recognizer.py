@@ -4,19 +4,18 @@ import pytest
 
 from domatch import (
     DomainError,
+    check_certificate_conditions,
     Edge,
     Graph,
     Matching,
     build_candidate_matching,
     check_degree_two_certificate,
-    girth_bound_check,
     is_maximal_matching,
     is_tight_graph,
     iter_maximal_matchings,
     min_degree,
     minimum_maximal_matching,
     recognize,
-    recognize_component,
     total_domination_number,
 )
 from domatch.generators import cycle, path, spider, subdivided_grid, triangle_book
@@ -160,6 +159,34 @@ def test_degree_two_certificate_flags_missing_witness():
     assert any(v.vertices == (u1, u2) for v in report.violations)
 
 
+def test_degree_two_conditions_are_the_leafy_conditions_without_leaves():
+    # With no support vertices the leafy pool S⁻ ∪ V(M*) is V(M), so (iii)/(iv)
+    # must agree with the degree-two (i)/(ii) witness for witness.
+    graphs = matchings = 0
+    for n in range(3, 8):
+        for g in connected_catalog(n):
+            if min_degree(g) != 2:
+                continue
+            graphs += 1
+            for m in iter_maximal_matchings(g):
+                matchings += 1
+                leafless = check_degree_two_certificate(g, m)
+                leafy = check_certificate_conditions(g, m)
+                assert leafy.verdicts["i"] and leafy.verdicts["ii"]
+                for short, long in (("i", "iii"), ("ii", "iv")):
+                    assert leafless.verdicts[short] == leafy.verdicts[long]
+                    assert [
+                        (v.vertices, v.message)
+                        for v in leafless.violations
+                        if v.condition == short
+                    ] == [
+                        (v.vertices, v.message)
+                        for v in leafy.violations
+                        if v.condition == long
+                    ]
+    assert (graphs, matchings) == (410, 7299)
+
+
 def test_degree_two_certificate_preconditions():
     with pytest.raises(DomainError, match="minimum degree 3, expected exactly 2"):
         check_degree_two_certificate(complete_graph(4), Matching([(0, 1), (2, 3)]))
@@ -172,21 +199,21 @@ def test_degree_two_certificate_preconditions():
 
 
 def test_recognize_component_six_cycle():
-    outcome = recognize_component(cycle(6))
+    outcome = recognize(cycle(6))
     assert outcome.verdict
     assert outcome.certificates == (ExceptionalSixCycle(),)
 
 
 def test_recognize_component_books():
     for n in (1, 2, 3):
-        outcome = recognize_component(triangle_book(n))
+        outcome = recognize(triangle_book(n))
         assert outcome.verdict
         assert outcome.certificates == (ExceptionalBook(pages=n),)
 
 
 def test_recognize_component_grids():
     for n in (2, 3):
-        outcome = recognize_component(subdivided_grid(n))
+        outcome = recognize(subdivided_grid(n))
         (certificate,) = outcome.certificates
         assert outcome.verdict
         assert isinstance(certificate, CertifyingMatching)
@@ -197,17 +224,17 @@ def test_recognize_component_grids():
 
 
 def test_recognize_component_refutes_empty_candidate():
-    outcome = recognize_component(cycle(7))
+    outcome = recognize(cycle(7))
     (refutation,) = outcome.certificates
     assert not outcome.verdict
     assert refutation.reason == REASON_NOT_MAXIMAL
     assert refutation.detail == "candidate matching of 0 edges is not maximal"
     for n in (4, 5, 8, 9, 10):
-        assert recognize_component(cycle(n)).certificates[0].reason == REASON_NOT_MAXIMAL
+        assert recognize(cycle(n)).certificates[0].reason == REASON_NOT_MAXIMAL
 
 
 def test_recognize_component_refutes_overlapping_candidate():
-    outcome = recognize_component(theta_graph())
+    outcome = recognize(theta_graph())
     (refutation,) = outcome.certificates
     assert not outcome.verdict
     assert refutation.reason == REASON_NOT_MATCHING
@@ -217,7 +244,7 @@ def test_recognize_component_refutes_overlapping_candidate():
 
 def test_recognize_component_refutes_condition_i():
     g = grid_with_chord()
-    outcome = recognize_component(g)
+    outcome = recognize(g)
     (refutation,) = outcome.certificates
     assert not outcome.verdict
     assert refutation.reason == REASON_CONDITION_I
@@ -228,7 +255,7 @@ def test_recognize_component_refutes_condition_i():
 
 def test_recognize_component_refutes_condition_ii():
     g = grid_with_spoiled_witness()
-    outcome = recognize_component(g)
+    outcome = recognize(g)
     (refutation,) = outcome.certificates
     assert not outcome.verdict
     assert refutation.reason == REASON_CONDITION_II
@@ -237,12 +264,10 @@ def test_recognize_component_refutes_condition_ii():
 
 
 def test_recognize_component_preconditions():
-    with pytest.raises(DomainError, match="not connected"):
-        recognize_component(helpers.disjoint_union(cycle(6), cycle(6)))
     with pytest.raises(DomainError):
-        recognize_component(complete_graph(4))
+        recognize(complete_graph(4))
     with pytest.raises(DomainError):
-        recognize_component(spider(2))
+        recognize(spider(2))
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +322,11 @@ def test_recognize_refutes_high_degree_component():
 
 
 def test_girth_bound_check():
-    assert girth_bound_check(triangle_book(2))
-    assert girth_bound_check(cycle(6))
-    assert girth_bound_check(subdivided_grid(3))
-    assert not girth_bound_check(cycle(7))
-    assert not girth_bound_check(path(5))
+    assert helpers.girth_bound_check(triangle_book(2))
+    assert helpers.girth_bound_check(cycle(6))
+    assert helpers.girth_bound_check(subdivided_grid(3))
+    assert not helpers.girth_bound_check(cycle(7))
+    assert not helpers.girth_bound_check(path(5))
 
 
 def test_certifying_matching_is_unique_on_grid():
@@ -317,7 +342,7 @@ def test_certifying_matching_is_unique_on_grid():
 def test_certifying_matching_is_minimum():
     for n in (2, 3):
         g = subdivided_grid(n)
-        (certificate,) = recognize_component(g).certificates
+        (certificate,) = recognize(g).certificates
         assert len(certificate.matching) == minimum_maximal_matching(g).value
         assert 2 * len(certificate.matching) == total_domination_number(g).value
 
@@ -327,12 +352,12 @@ def test_recognizer_agrees_with_oracle_on_small_catalog():
         for g in connected_catalog(n):
             if min_degree(g) != 2:
                 continue
-            assert recognize_component(g).verdict == is_tight_graph(g)
+            assert recognize(g).verdict == is_tight_graph(g)
 
 
 def test_recognizer_agrees_with_oracle_on_subdivided_petersen():
     # one degree-two vertex only, so the candidate scan comes up empty
     g = helpers.petersen_subdivided()
-    outcome = recognize_component(g)
+    outcome = recognize(g)
     assert outcome.certificates[0].reason == REASON_NOT_MAXIMAL
     assert outcome.verdict == is_tight_graph(g) == False  # noqa: E712
