@@ -17,10 +17,16 @@ recognizer's degree-two conditions (i)/(ii); both run one engine here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ClassificationError, DomainError, ResourceLimitError
-from .graph import Edge, Graph, min_degree, support_classification
+from .graph import (
+    Edge,
+    Graph,
+    SupportClassification,
+    min_degree,
+    support_classification,
+)
 from .oracles import Matching, _edge_masks, _validated_edges, is_maximal_matching
 
 #: Node budget for exhaustive maximal-matching enumeration.
@@ -82,7 +88,10 @@ def partition_matching(g: Graph, m: Matching) -> MatchingPartition:
     as a :class:`~domatch.errors.ClassificationError` rather than filed.
     """
     _validated_edges(g, m)
-    support = support_classification(g)
+    return _partition(m, support_classification(g))
+
+
+def _partition(m: Matching, support: SupportClassification) -> MatchingPartition:
     plus: list[Edge] = []
     minus: list[Edge] = []
     star: list[Edge] = []
@@ -110,8 +119,23 @@ def _covered_by(edges: tuple[Edge, ...]) -> set[int]:
     return vertices
 
 
+def _pinned_pairs(
+    adjacency: Sequence[frozenset[int]], vertices: Iterable[int]
+) -> dict[int, set[int]]:
+    """For each vertex a, the vertices b such that some degree-two vertex
+    among ``vertices`` has neighborhood exactly {a, b}."""
+    pinned: dict[int, set[int]] = {}
+    for y in vertices:
+        if len(adjacency[y]) == 2:
+            a, b = adjacency[y]
+            pinned.setdefault(a, set()).add(b)
+            pinned.setdefault(b, set()).add(a)
+    return pinned
+
+
 def _check_local_conditions(
-    g: Graph,
+    adjacency: Sequence[frozenset[int]],
+    pinned: Mapping[int, set[int]],
     m: Matching,
     pool: list[int],
     exact_id: str,
@@ -122,43 +146,46 @@ def _check_local_conditions(
 
     ``exact_id``: every pool vertex sees exactly one matched vertex, its
     partner.  ``witness_id``: whenever two pool vertices u, v share a
-    neighbor, some vertex has neighborhood exactly {p(u), p(v)}.  Appends a
-    :class:`Violation` per failure and returns the two verdicts.  These are
-    conditions (iii)/(iv) over ``S⁻ ∪ V(M*)``; on a leafless graph the pool
-    is ``V(M)`` and they are the degree-two conditions (i)/(ii).
+    neighbor, some vertex has neighborhood exactly {p(u), p(v)}, looked up
+    in ``pinned`` (see :func:`_pinned_pairs`).  Appends a :class:`Violation`
+    per failure, pairs in sorted (u, v) order, and returns the two verdicts.
+    These are conditions (iii)/(iv) over ``S⁻ ∪ V(M*)``; on a leafless
+    graph the pool is ``V(M)`` and they are the degree-two conditions
+    (i)/(ii).  Pairs sharing a neighbor are found by walking the pool's
+    neighbors, so no pair without a common neighbor is ever looked at.
     """
+    partner = m._partner
     matched = m.covered
     exact_ok = True
     for v in pool:
-        partner = m.partner(v)
-        matched_neighbors = sorted(g.neighbors(v) & matched)
-        if matched_neighbors != [partner]:
+        seen = adjacency[v] & matched
+        if len(seen) != 1 or partner[v] not in seen:
             exact_ok = False
             violations.append(
                 Violation(
                     exact_id,
-                    (v, *matched_neighbors),
+                    (v, *sorted(seen)),
                     (),
-                    f"vertex {v} must see exactly its partner {partner} among"
+                    f"vertex {v} must see exactly its partner {partner[v]} among"
                     " matched vertices",
                 )
             )
 
+    in_pool = frozenset(pool)
     witness_ok = True
-    for a in range(len(pool)):
-        for b in range(a + 1, len(pool)):
-            u, v = pool[a], pool[b]
-            if not g.neighbors(u) & g.neighbors(v):
-                continue
-            wanted = {m.partner(u), m.partner(v)}
-            if not any(g.neighbors(x) == wanted for x in g.vertices()):
+    for u in pool:
+        pu = partner[u]
+        witnessed = pinned.get(pu, ())
+        two_steps = set().union(*(adjacency[w] for w in adjacency[u]))
+        for v in sorted(v for v in two_steps.intersection(in_pool) if v > u):
+            if partner[v] not in witnessed:
                 witness_ok = False
                 violations.append(
                     Violation(
                         witness_id,
                         (u, v),
                         (),
-                        f"no vertex has neighborhood exactly {sorted(wanted)}",
+                        f"no vertex has neighborhood exactly {sorted((pu, partner[v]))}",
                     )
                 )
     return exact_ok, witness_ok
@@ -188,7 +215,7 @@ def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
     if not is_maximal_matching(g, m.edges):
         raise DomainError("matching is not maximal")
     support = support_classification(g)
-    partition = partition_matching(g, m)
+    partition = _partition(m, support)  # edges were validated just above
     violations: list[Violation] = []
 
     plus_covered = _covered_by(partition.m_plus)
@@ -246,7 +273,16 @@ def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
     verdict_ii = not unmatched_minus and not bad_minus_edges
 
     pool = sorted(support.s_minus | _covered_by(partition.m_star))
-    verdict_iii, verdict_iv = _check_local_conditions(g, m, pool, "iii", "iv", violations)
+    adjacency = g._adjacency
+    verdict_iii, verdict_iv = _check_local_conditions(
+        adjacency,
+        _pinned_pairs(adjacency, g.vertices()),
+        m,
+        pool,
+        "iii",
+        "iv",
+        violations,
+    )
     verdicts = {"i": verdict_i, "ii": verdict_ii, "iii": verdict_iii, "iv": verdict_iv}
     return ConditionReport(verdicts, tuple(violations))
 

@@ -222,7 +222,7 @@ def min_degree(g: Graph) -> int:
     """Smallest vertex degree.  Raises on the empty graph."""
     if g.vertex_count == 0:
         raise DomainError("empty graph has no minimum degree")
-    return min(g.degree(v) for v in g.vertices())
+    return min(map(len, g._adjacency))
 
 
 def degree_two_vertices(g: Graph) -> frozenset[int]:
@@ -245,14 +245,15 @@ class SupportClassification:
 
 def support_classification(g: Graph) -> SupportClassification:
     """Classify the support vertices of ``g``."""
-    leaves = {v for v in g.vertices() if g.degree(v) == 1}
-    sup = frozenset(v for v in g.vertices() if g.neighbors(v) & leaves)
-    s_plus = frozenset(v for v in sup if g.neighbors(v) & sup)
+    adjacency = g._adjacency
+    sup = frozenset(w for near in adjacency if len(near) == 1 for w in near)
+    s_plus = frozenset(v for v in sup if adjacency[v] & sup)
     return SupportClassification(sup=sup, s_plus=s_plus, s_minus=sup - s_plus)
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, ordered by smallest id."""
+    adjacency = g._adjacency
     seen: set[int] = set()
     components: list[frozenset[int]] = []
     for start in g.vertices():
@@ -263,7 +264,7 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
         group = {start}
         while queue:
             x = queue.popleft()
-            for y in g.neighbors(x):
+            for y in adjacency[x]:
                 if y not in seen:
                     seen.add(y)
                     group.add(y)
@@ -343,17 +344,24 @@ def triangle_book_parameter(g: Graph) -> int | None:
     """Page count when ``g`` is a book of triangles, else ``None``.
 
     A book of ``n`` triangles consists of an edge ``uv`` plus ``n`` page
-    vertices adjacent to exactly ``u`` and ``v``.  Detection: ``g`` is
-    connected on ``n + 2`` vertices, some adjacent pair has degree
-    ``n + 1``, and every other vertex's neighborhood is exactly that pair.
+    vertices adjacent to exactly ``u`` and ``v``.
     """
-    n = g.vertex_count - 2
-    if n < 1 or not is_connected(g):
+    if not is_connected(g):
         return None
-    for u, v in g.edges():
-        if g.degree(u) != n + 1 or g.degree(v) != n + 1:
-            continue
-        pair = frozenset((u, v))
-        if all(g.neighbors(w) == pair for w in g.vertices() if w not in pair):
-            return n
+    return _book_pages(g._adjacency, g.vertices())
+
+
+def _book_pages(adjacency: Sequence[frozenset[int]], vertices: Sequence[int]) -> int | None:
+    """Page count when ``vertices``, a whole connected component of the
+    graph with this ``adjacency``, form a triangle book, else ``None``.
+
+    A book on k ≥ 3 vertices has 2k − 3 edges, and its two spine vertices,
+    adjacent to all others, already account for all of them; conversely
+    two such vertices and 2k − 3 edges leave every other vertex adjacent to
+    exactly the spine.  So the edge count and the degree k − 1 decide it.
+    """
+    k = len(vertices)
+    degrees = [len(adjacency[v]) for v in vertices]
+    if k >= 3 and sum(degrees) == 2 * (2 * k - 3) and degrees.count(k - 1) >= 2:
+        return k - 2
     return None

@@ -4,8 +4,18 @@ Leafless graphs with total domination number equal to twice the minimum
 maximal matching number are exactly the triangle books, the six-cycle, and
 the graphs whose induced-six-cycle middle edges form a maximal matching
 satisfying two local conditions.  The recognizer detects the exceptional
-graphs directly, builds the candidate matching from degree-two vertex
-pairs, and reports a checkable certificate or a reasoned refutation.
+graphs directly, builds the candidate matching from the induced six-cycles
+x–a–a′–y–b′–b through degree-two vertices x and y, and reports a checkable
+certificate or a reasoned refutation.
+
+The six-cycles are found by a local walk: from each degree-two x with
+N(x) = {a, b}, over a′ ∈ N(a) and b′ ∈ N(b), with the degree-two y such
+that N(y) = {a′, b′} looked up in an index of degree-two neighborhoods.
+That costs at most O(Σₓ deg(a)·deg(b)), so bounded-degree inputs are
+decided in about linear time.  Each component is handled as a sorted vertex
+subset of the input graph, read through its adjacency directly: no
+:class:`~domatch.graph.Graph` is built, and every id in a certificate or
+refutation is an id of the input graph.
 
 A leafless graph has no support vertices, so its two conditions are the
 leafy conditions (iii)/(iv) of :mod:`domatch.characterization` taken over
@@ -14,23 +24,28 @@ the matched vertices; both checkers run the same condition engine.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Mapping, Sequence, Union
 
-from .characterization import ConditionReport, Violation, _check_local_conditions
+from .characterization import (
+    ConditionReport,
+    Violation,
+    _check_local_conditions,
+    _pinned_pairs,
+)
 from .errors import DomainError
 from .graph import (
     Edge,
     Graph,
+    _book_pages,
     connected_components,
-    degree_two_vertices,
-    induced_subgraph,
     is_connected,
     is_cycle_of_length,
     min_degree,
     triangle_book_parameter,
 )
-from .oracles import Matching, _validated_edges, is_matching, is_maximal_matching
+from .oracles import Matching, _validated_edges
 
 #: Refutation reason codes, stable CLI vocabulary.
 REASON_NOT_MATCHING = "m-not-matching"
@@ -96,6 +111,47 @@ class RecognitionOutcome:
         return tuple(c.certificate for c in self.components)
 
 
+def _candidate_edges(
+    adjacency: Sequence[frozenset[int]],
+    vertices: Sequence[int],
+    pinned: Mapping[int, set[int]],
+) -> tuple[Edge, ...]:
+    """Middle edges a–a′ and b–b′ of the induced six-cycles x–a–a′–y–b′–b.
+
+    ``pinned`` indexes the degree-two neighborhoods of ``vertices`` (see
+    :func:`~domatch.characterization._pinned_pairs`).  The six vertices
+    induce a six-cycle exactly when none of a–b, a–b′, a′–b, a′–b′ is an
+    edge; the other non-edges follow from x and y having degree two.
+    """
+    found: set[Edge] = set()
+    for x in vertices:
+        if len(adjacency[x]) != 2:
+            continue
+        a, b = adjacency[x]
+        near_a, near_b = adjacency[a], adjacency[b]
+        if b in near_a:
+            continue
+        for a2 in near_a:
+            partners = pinned.get(a2)
+            if not partners or a2 == x or a2 in near_b:
+                continue
+            near_a2 = adjacency[a2]
+            # b′ must be both a neighbor of b and pinned with a′: walk the
+            # smaller of the two sets and test membership in the other.
+            smaller = partners if len(partners) < len(near_b) else near_b
+            for b2 in smaller:
+                if (
+                    b2 in near_b
+                    and b2 in partners
+                    and b2 != x
+                    and b2 not in near_a
+                    and b2 not in near_a2
+                ):
+                    found.add(Edge.of(a, a2))
+                    found.add(Edge.of(b, b2))
+    return tuple(sorted(found))
+
+
 def build_candidate_matching(g: Graph) -> tuple[Edge, ...]:
     """Middle edges of induced six-cycles through degree-two vertex pairs.
 
@@ -103,6 +159,12 @@ def build_candidate_matching(g: Graph) -> tuple[Edge, ...]:
     union to six vertices inducing a six-cycle, x and y sit antipodally and
     the two cycle edges touching neither are collected.  The deduplicated,
     sorted union is returned; it need not be a matching.
+
+    The six-cycles are found by a local walk from each degree-two x with
+    N(x) = {a, b}: over a′ ∈ N(a) and b′ ∈ N(b), the partner y is looked
+    up among the degree-two vertices by its neighborhood {a′, b′}.  The cost
+    is at most O(Σₓ deg(a)·deg(b)) after one O(n) indexing pass, and no
+    graph is rebuilt.
 
     The graph must be connected and neither a triangle book nor the
     six-cycle (on those the construction is degenerate).
@@ -113,26 +175,45 @@ def build_candidate_matching(g: Graph) -> tuple[Edge, ...]:
         raise DomainError("triangle books are excluded from the candidate scan")
     if is_cycle_of_length(g, 6):
         raise DomainError("the six-cycle is excluded from the candidate scan")
-    found: set[Edge] = set()
-    d2 = sorted(degree_two_vertices(g))
-    for i in range(len(d2)):
-        for j in range(i + 1, len(d2)):
-            x, y = d2[i], d2[j]
-            around = g.neighbors(x) | g.neighbors(y) | {x, y}
-            if len(around) != 6:
-                continue
-            sub, original = induced_subgraph(g, around)
-            if not is_cycle_of_length(sub, 6):
-                continue
-            middle = [
-                Edge.of(original[e.u], original[e.v])
-                for e in sub.edges()
-                if x not in (original[e.u], original[e.v])
-                and y not in (original[e.u], original[e.v])
-            ]
-            assert len(middle) == 2, "antipodal pair must leave exactly two edges"
-            found.update(middle)
-    return tuple(sorted(found))
+    adjacency = g._adjacency
+    return _candidate_edges(adjacency, g.vertices(), _pinned_pairs(adjacency, g.vertices()))
+
+
+def _extending_edge(
+    adjacency: Sequence[frozenset[int]], vertices: Sequence[int], covered: frozenset[int]
+) -> Edge | None:
+    """Least edge among sorted ``vertices`` with neither end in ``covered``."""
+    for u in vertices:
+        if u not in covered:
+            free = [v for v in adjacency[u] if v > u and v not in covered]
+            if free:
+                return Edge(u, min(free))
+    return None
+
+
+def _degree_two_report(
+    adjacency: Sequence[frozenset[int]],
+    pinned: Mapping[int, set[int]],
+    vertices: Sequence[int],
+    m: Matching,
+) -> ConditionReport:
+    """The ``maximal``, ``i`` and ``ii`` verdicts of ``m`` on sorted ``vertices``."""
+    violations: list[Violation] = []
+    extending = _extending_edge(adjacency, vertices, m.covered)
+    if extending is not None:
+        violations.append(
+            Violation(
+                "maximal",
+                tuple(extending),
+                (extending,),
+                f"edge {extending.u}-{extending.v} could extend the matching",
+            )
+        )
+    verdict_i, verdict_ii = _check_local_conditions(
+        adjacency, pinned, m, sorted(m.covered), "i", "ii", violations
+    )
+    verdicts = {"maximal": extending is None, "i": verdict_i, "ii": verdict_ii}
+    return ConditionReport(verdicts, tuple(violations))
 
 
 def check_degree_two_certificate(g: Graph, m: Matching) -> ConditionReport:
@@ -149,83 +230,40 @@ def check_degree_two_certificate(g: Graph, m: Matching) -> ConditionReport:
     if delta != 2:
         raise DomainError(f"minimum degree {delta}, expected exactly 2")
     _validated_edges(g, m)
-    violations: list[Violation] = []
-
-    verdict_maximal = True
-    covered = m.covered
-    for e in g.edges():
-        if e.u not in covered and e.v not in covered:
-            verdict_maximal = False
-            violations.append(
-                Violation(
-                    "maximal",
-                    (e.u, e.v),
-                    (e,),
-                    f"edge {e.u}-{e.v} could extend the matching",
-                )
-            )
-            break
-
-    verdict_i, verdict_ii = _check_local_conditions(
-        g, m, sorted(covered), "i", "ii", violations
+    adjacency = g._adjacency
+    return _degree_two_report(
+        adjacency, _pinned_pairs(adjacency, g.vertices()), g.vertices(), m
     )
-    verdicts = {"maximal": verdict_maximal, "i": verdict_i, "ii": verdict_ii}
-    return ConditionReport(verdicts, tuple(violations))
 
 
-def _component_outcome(g: Graph) -> ComponentOutcome:
-    """Recognition for one connected, minimum-degree-two graph."""
-    vertices = tuple(g.vertices())
-    pages = triangle_book_parameter(g)
+def _component_certificate(
+    adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
+) -> Certificate:
+    """Certificate for one connected component, given as sorted ``vertices``."""
+    if min(len(adjacency[v]) for v in vertices) != 2:
+        return Refutation(REASON_MIN_DEGREE, (), "component has minimum degree above two")
+    pages = _book_pages(adjacency, vertices)
     if pages is not None:
-        return ComponentOutcome(vertices, True, ExceptionalBook(pages))
-    if is_cycle_of_length(g, 6):
-        return ComponentOutcome(vertices, True, ExceptionalSixCycle())
-    candidate = build_candidate_matching(g)
-    if not is_matching(g, candidate):
-        shared = sorted(
-            v for v in {w for e in candidate for w in e}
-            if sum(v in e for e in candidate) > 1
-        )
-        return ComponentOutcome(
-            vertices,
-            False,
-            Refutation(
-                REASON_NOT_MATCHING,
-                tuple(shared),
-                "candidate edges share endpoints",
-            ),
-        )
+        return ExceptionalBook(pages)
+    if len(vertices) == 6 and all(len(adjacency[v]) == 2 for v in vertices):
+        return ExceptionalSixCycle()
+    pinned = _pinned_pairs(adjacency, vertices)
+    candidate = _candidate_edges(adjacency, vertices, pinned)
+    uses = Counter(w for e in candidate for w in e)
+    shared = sorted(v for v, count in uses.items() if count > 1)
+    if shared:
+        return Refutation(REASON_NOT_MATCHING, tuple(shared), "candidate edges share endpoints")
     m = Matching(candidate)
-    if not is_maximal_matching(g, m.edges):
-        return ComponentOutcome(
-            vertices,
-            False,
-            Refutation(
-                REASON_NOT_MAXIMAL,
-                (),
-                f"candidate matching of {len(m)} edges is not maximal",
-            ),
+    report = _degree_two_report(adjacency, pinned, vertices, m)
+    if not report.verdicts["maximal"]:
+        return Refutation(
+            REASON_NOT_MAXIMAL, (), f"candidate matching of {len(m)} edges is not maximal"
         )
-    report = check_degree_two_certificate(g, m)
     for condition, reason in (("i", REASON_CONDITION_I), ("ii", REASON_CONDITION_II)):
         if not report.verdicts[condition]:
             first = next(v for v in report.violations if v.condition == condition)
-            return ComponentOutcome(
-                vertices, False, Refutation(reason, first.vertices, first.message)
-            )
-    return ComponentOutcome(vertices, True, CertifyingMatching(m, report))
-
-
-def _remap_certificate(cert: Certificate, original: tuple[int, ...]) -> Certificate:
-    if isinstance(cert, CertifyingMatching):
-        edges = [Edge.of(original[e.u], original[e.v]) for e in cert.matching]
-        return CertifyingMatching(Matching(edges), cert.report)
-    if isinstance(cert, Refutation):
-        return Refutation(
-            cert.reason, tuple(original[v] for v in cert.vertices), cert.detail
-        )
-    return cert
+            return Refutation(reason, first.vertices, first.message)
+    return CertifyingMatching(m, report)
 
 
 def recognize(g: Graph) -> RecognitionOutcome:
@@ -237,31 +275,17 @@ def recognize(g: Graph) -> RecognitionOutcome:
     are refuted directly (no leafless graph of minimum degree three or more
     reaches equality).  Within a component the checks run in order: triangle
     book, six-cycle, then the candidate matching with its two conditions;
-    refutations name the first failed check.
+    refutations name the first failed check.  Every check reads only the
+    component's own vertices and their adjacency in ``g``.
     """
     delta = min_degree(g)
     if delta != 2:
         raise DomainError(f"minimum degree {delta}, expected exactly 2")
+    adjacency = g._adjacency
     outcomes: list[ComponentOutcome] = []
     for component in connected_components(g):
-        sub, original = induced_subgraph(g, component)
-        ids = tuple(original)
-        if min_degree(sub) != 2:
-            outcomes.append(
-                ComponentOutcome(
-                    ids,
-                    False,
-                    Refutation(
-                        REASON_MIN_DEGREE,
-                        (),
-                        "component has minimum degree above two",
-                    ),
-                )
-            )
-            continue
-        local = _component_outcome(sub)
-        outcomes.append(
-            ComponentOutcome(ids, local.verdict, _remap_certificate(local.certificate, ids))
-        )
+        vertices = tuple(sorted(component))
+        certificate = _component_certificate(adjacency, vertices)
+        verdict = not isinstance(certificate, Refutation)
+        outcomes.append(ComponentOutcome(vertices, verdict, certificate))
     return RecognitionOutcome(all(o.verdict for o in outcomes), tuple(outcomes))
-

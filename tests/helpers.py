@@ -14,7 +14,17 @@ import random
 
 import networkx as nx
 
-from domatch import Edge, Graph, Matching, girth, is_connected, min_degree
+from domatch import (
+    Edge,
+    Graph,
+    Matching,
+    degree_two_vertices,
+    girth,
+    induced_subgraph,
+    is_connected,
+    is_cycle_of_length,
+    min_degree,
+)
 
 # ---------------------------------------------------------------------------
 # brute-force references
@@ -93,6 +103,30 @@ def edge_domination_check(g: Graph, m: Matching) -> bool:
 def girth_bound_check(g: Graph) -> bool:
     """True iff the girth is at most six, as for every recognized leafless graph."""
     return girth(g) <= 6
+
+
+def pairwise_candidate_matching(g: Graph) -> tuple[Edge, ...]:
+    """Candidate edges straight from the definition, pair by pair.
+
+    For every pair of degree-two vertices x, y whose closed neighborhoods
+    union to six vertices, the induced subgraph is built and tested for
+    being a six-cycle; if it is, its two edges touching neither x nor y are
+    collected.  Quadratic in the degree-two vertices and linear in the edges
+    per pair, so keep inputs small.
+    """
+    found: set[Edge] = set()
+    for x, y in itertools.combinations(sorted(degree_two_vertices(g)), 2):
+        around = g.neighbors(x) | g.neighbors(y) | {x, y}
+        if len(around) != 6:
+            continue
+        sub, original = induced_subgraph(g, around)
+        if not is_cycle_of_length(sub, 6):
+            continue
+        for e in sub.edges():
+            u, v = original[e.u], original[e.v]
+            if x not in (u, v) and y not in (u, v):
+                found.add(Edge.of(u, v))
+    return tuple(sorted(found))
 
 
 def brute_girth(g: Graph) -> int | float:

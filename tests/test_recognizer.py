@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,15 +9,21 @@ from domatch import (
     Edge,
     Graph,
     Matching,
+    TightGraphParams,
     build_candidate_matching,
     check_degree_two_certificate,
+    find_certifying_matching,
+    is_connected,
+    is_cycle_of_length,
     is_maximal_matching,
     is_tight_graph,
     iter_maximal_matchings,
     min_degree,
     minimum_maximal_matching,
+    random_tight_graph,
     recognize,
     total_domination_number,
+    triangle_book_parameter,
 )
 from domatch.generators import cycle, path, spider, subdivided_grid, triangle_book
 from domatch.recognizer import (
@@ -53,6 +60,19 @@ def grid_with_chord():
     g = subdivided_grid(3)
     u1, u2 = g.vertex_with_label("u1"), g.vertex_with_label("u2")
     return Graph(g.vertex_count, list(g.edges()) + [(u1, u2)], labels=g.labels)
+
+
+def cycle_ten_with_chords():
+    # the candidate matching is maximal, but matched vertex 4 also sees the
+    # matched vertex 8 across the chord 4-8
+    ring = [(i, (i + 1) % 10) for i in range(10)]
+    return Graph(10, ring + [(1, 6), (4, 8)])
+
+
+#: Leafless draws of about a hundred to a few hundred vertices.
+LEAFLESS = TightGraphParams(
+    max_k2=40, max_a=20, mark_probability=0.0, extra_edge_probability=0.2, max_vertices=350
+)
 
 
 def grid_with_spoiled_witness():
@@ -114,6 +134,46 @@ def test_candidate_matching_relabeling_invariance():
         got = build_candidate_matching(permuted)
         mapped = {Edge.of(perm[e.u], perm[e.v]) for e in expected}
         assert set(got) == mapped
+
+
+def _scannable(g):
+    return (
+        is_connected(g)
+        and triangle_book_parameter(g) is None
+        and not is_cycle_of_length(g, 6)
+    )
+
+
+def test_candidate_matching_is_the_pairwise_definition_on_catalog():
+    checked = 0
+    for n in range(3, 9):
+        for g in connected_catalog(n):
+            if min_degree(g) != 2 or not _scannable(g):
+                continue
+            assert build_candidate_matching(g) == helpers.pairwise_candidate_matching(g)
+            checked += 1
+    assert checked == 5263 - 6 - 1  # books on 3..8 vertices and the six-cycle
+
+
+def test_candidate_matching_is_the_pairwise_definition_on_tight_graphs():
+    rng = random.Random(4242)
+    checked = hits = 0
+    leafless = TightGraphParams(
+        max_k2=20, max_a=10, mark_probability=0.0, extra_edge_probability=0.2, max_vertices=120
+    )
+    for params in (leafless, TightGraphParams(max_k2=12, max_a=6, max_vertices=60)):
+        for seed in range(12):
+            g, _ = random_tight_graph(seed, params)
+            if not _scannable(g):
+                continue
+            perm = list(g.vertices())
+            rng.shuffle(perm)
+            for h in (g, helpers.relabel(g, perm)):
+                got = build_candidate_matching(h)
+                assert got == helpers.pairwise_candidate_matching(h)
+                checked += 1
+                hits += bool(got)
+    assert checked >= 30 and hits >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +408,15 @@ def test_certifying_matching_is_minimum():
 
 
 def test_recognizer_agrees_with_oracle_on_small_catalog():
-    for n in range(3, 7):
+    checked = 0
+    for n in range(3, 9):
         for g in connected_catalog(n):
             if min_degree(g) != 2:
                 continue
-            assert recognize(g).verdict == is_tight_graph(g)
+            checked += 1
+            found = find_certifying_matching(g) is not None
+            assert recognize(g).verdict == is_tight_graph(g) == found
+    assert checked == 5263
 
 
 def test_recognizer_agrees_with_oracle_on_subdivided_petersen():
@@ -361,3 +425,100 @@ def test_recognizer_agrees_with_oracle_on_subdivided_petersen():
     outcome = recognize(g)
     assert outcome.certificates[0].reason == REASON_NOT_MAXIMAL
     assert outcome.verdict == is_tight_graph(g) == False  # noqa: E712
+
+
+# ---------------------------------------------------------------------------
+# ids in refutations of later components
+
+
+def _shifted_numbers(text, shift):
+    return re.sub(r"\d+", lambda hit: str(int(hit.group()) + shift), text)
+
+
+def test_refutation_detail_names_input_ids():
+    g = helpers.disjoint_union(cycle(6), cycle_ten_with_chords())
+    first, second = recognize(g).components
+    assert first.certificate == ExceptionalSixCycle()
+    refutation = second.certificate
+    assert refutation.reason == REASON_CONDITION_I
+    assert refutation.vertices == (10, 9, 14)
+    assert refutation.detail == (
+        "vertex 10 must see exactly its partner 9 among matched vertices"
+    )
+    named = {int(token) for token in re.findall(r"\d+", refutation.detail)}
+    assert named <= set(refutation.vertices)
+
+
+def test_refutations_of_later_components_shift_with_their_ids():
+    for alone in (cycle_ten_with_chords(), grid_with_spoiled_witness(), theta_graph()):
+        (expected,) = recognize(alone).certificates
+        shifted = recognize(helpers.disjoint_union(cycle(6), alone)).certificates[1]
+        assert shifted == Refutation(
+            expected.reason,
+            tuple(v + 6 for v in expected.vertices),
+            _shifted_numbers(expected.detail, 6),
+        )
+
+
+# ---------------------------------------------------------------------------
+# scale: no graph is built while recognizing
+
+
+def recognize_building_no_graph(g, monkeypatch):
+    """``recognize(g)``, asserting that it constructs no :class:`Graph`."""
+    built = []
+    original = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "__init__", counting)
+        outcome = recognize(g)
+    assert built == []
+    return outcome
+
+
+def test_large_grid_is_accepted_with_its_rungs(monkeypatch):
+    n = 5000
+    g = subdivided_grid(n)
+    assert g.vertex_count == 20002
+    outcome = recognize_building_no_graph(g, monkeypatch)
+    (certificate,) = outcome.certificates
+    assert outcome.verdict
+    assert certificate.matching == Matching((i, n + 1 + i) for i in range(n + 1))
+
+
+def test_long_cycle_is_refuted_as_not_maximal(monkeypatch):
+    outcome = recognize_building_no_graph(cycle(2000), monkeypatch)
+    (refutation,) = outcome.certificates
+    assert not outcome.verdict
+    assert refutation.reason == REASON_NOT_MAXIMAL
+
+
+def test_large_leafless_tight_graph_is_accepted(monkeypatch):
+    g, embedded = random_tight_graph(4, LEAFLESS)
+    assert g.vertex_count >= 150 and is_connected(g)
+    outcome = recognize_building_no_graph(g, monkeypatch)
+    (certificate,) = outcome.certificates
+    assert outcome.verdict
+    # the degree-two certificate is unique, so it is the embedded matching
+    assert certificate.matching == embedded
+    perm = list(g.vertices())
+    random.Random(4).shuffle(perm)
+    (moved,) = recognize(helpers.relabel(g, perm)).certificates
+    assert moved.matching == Matching((perm[e.u], perm[e.v]) for e in embedded)
+
+
+def test_large_union_is_the_and_of_its_parts(monkeypatch):
+    tight, _ = random_tight_graph(4, LEAFLESS)
+    parts = [subdivided_grid(5000), tight, cycle(2000)]
+    for count in (2, 3):
+        g = parts[0]
+        for part in parts[1:count]:
+            g = helpers.disjoint_union(g, part)
+        outcome = recognize_building_no_graph(g, monkeypatch)
+        verdicts = [recognize(part).verdict for part in parts[:count]]
+        assert [c.verdict for c in outcome.components] == verdicts
+        assert outcome.verdict == all(verdicts) == (count == 2)
