@@ -9,9 +9,13 @@ matchings to search for a certificate, and builds the small total
 dominating set that a maximal matching yields when the minimum degree is
 three or more.
 
-Conditions (iii)/(iv) are local checks over a vertex pool.  Without leaves
-that pool is the set of matched vertices, and the same checks are the
-recognizer's degree-two conditions (i)/(ii); both run one engine here.
+Each checker is one stream of :class:`Violation` objects in report order;
+a condition holds when no violation names it.  The certificate search
+classifies supports once per graph and rejects a matching at its first
+violation.  Conditions (iii)/(iv) are local checks over a vertex pool.
+Without leaves that pool is the set of matched vertices, and the same
+checks are the recognizer's degree-two conditions (i)/(ii); both run one
+engine here.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ClassificationError, DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .graph import (
     Edge,
     Graph,
@@ -83,9 +87,7 @@ def partition_matching(g: Graph, m: Matching) -> MatchingPartition:
     """Classify each matching edge by how many endpoints are support vertices.
 
     Two endpoints in the support go to ``m_plus``, one to ``m_minus``, zero
-    to ``m_star``.  An edge joining two support vertices of which one is an
-    isolated support cannot occur in a certifying matching and is reported
-    as a :class:`~domatch.errors.ClassificationError` rather than filed.
+    to ``m_star``.
     """
     _validated_edges(g, m)
     return _partition(m, support_classification(g))
@@ -98,11 +100,7 @@ def _partition(m: Matching, support: SupportClassification) -> MatchingPartition
     for e in m:
         in_sup = (e.u in support.sup) + (e.v in support.sup)
         if in_sup == 2:
-            if e.u in support.s_minus or e.v in support.s_minus:
-                raise ClassificationError(
-                    f"edge {e.u}-{e.v} joins two support vertices, one isolated"
-                    " within the support"
-                )
+            # Two support ends are adjacent supports, so both lie in S⁺.
             plus.append(e)
         elif in_sup == 1:
             minus.append(e)
@@ -133,62 +131,116 @@ def _pinned_pairs(
     return pinned
 
 
-def _check_local_conditions(
+def _report(ids: Sequence[str], violations: Iterable[Violation]) -> ConditionReport:
+    """The report of a violation stream: condition c holds when no violation
+    names it."""
+    found = tuple(violations)
+    failed = {v.condition for v in found}
+    return ConditionReport({c: c not in failed for c in ids}, found)
+
+
+def _local_violations(
     adjacency: Sequence[frozenset[int]],
     pinned: Mapping[int, set[int]],
     m: Matching,
     pool: list[int],
     exact_id: str,
     witness_id: str,
-    violations: list[Violation],
-) -> tuple[bool, bool]:
+) -> Iterator[Violation]:
     """The two local certificate conditions over the sorted vertex ``pool``.
 
     ``exact_id``: every pool vertex sees exactly one matched vertex, its
     partner.  ``witness_id``: whenever two pool vertices u, v share a
     neighbor, some vertex has neighborhood exactly {p(u), p(v)}, looked up
-    in ``pinned`` (see :func:`_pinned_pairs`).  Appends a :class:`Violation`
-    per failure, pairs in sorted (u, v) order, and returns the two verdicts.
-    These are conditions (iii)/(iv) over ``S⁻ ∪ V(M*)``; on a leafless
-    graph the pool is ``V(M)`` and they are the degree-two conditions
-    (i)/(ii).  Pairs sharing a neighbor are found by walking the pool's
-    neighbors, so no pair without a common neighbor is ever looked at.
+    in ``pinned`` (see :func:`_pinned_pairs`).  Yields a :class:`Violation`
+    per failure, every ``exact_id`` one first, then pairs in sorted (u, v)
+    order.  These are conditions (iii)/(iv) over ``S⁻ ∪ V(M*)``; on a
+    leafless graph the pool is ``V(M)`` and they are the degree-two
+    conditions (i)/(ii).  Pairs sharing a neighbor are found by walking the
+    pool's neighbors, so no pair without a common neighbor is ever looked at.
     """
     partner = m._partner
     matched = m.covered
-    exact_ok = True
     for v in pool:
         seen = adjacency[v] & matched
         if len(seen) != 1 or partner[v] not in seen:
-            exact_ok = False
-            violations.append(
-                Violation(
-                    exact_id,
-                    (v, *sorted(seen)),
-                    (),
-                    f"vertex {v} must see exactly its partner {partner[v]} among"
-                    " matched vertices",
-                )
+            yield Violation(
+                exact_id,
+                (v, *sorted(seen)),
+                (),
+                f"vertex {v} must see exactly its partner {partner[v]} among"
+                " matched vertices",
             )
 
     in_pool = frozenset(pool)
-    witness_ok = True
     for u in pool:
         pu = partner[u]
         witnessed = pinned.get(pu, ())
         two_steps = set().union(*(adjacency[w] for w in adjacency[u]))
         for v in sorted(v for v in two_steps.intersection(in_pool) if v > u):
             if partner[v] not in witnessed:
-                witness_ok = False
-                violations.append(
-                    Violation(
-                        witness_id,
-                        (u, v),
-                        (),
-                        f"no vertex has neighborhood exactly {sorted((pu, partner[v]))}",
-                    )
+                yield Violation(
+                    witness_id,
+                    (u, v),
+                    (),
+                    f"no vertex has neighborhood exactly {sorted((pu, partner[v]))}",
                 )
-    return exact_ok, witness_ok
+
+
+def _certificate_violations(
+    adjacency: Sequence[frozenset[int]],
+    support: SupportClassification,
+    pinned: Mapping[int, set[int]],
+    m: Matching,
+) -> Iterator[Violation]:
+    """Violations of the four conditions by the maximal matching ``m``, in
+    report order: (i), (ii), then (iii)/(iv)."""
+    partition = _partition(m, support)
+    plus_covered = _covered_by(partition.m_plus)
+    unmatched_plus = sorted(support.s_plus - plus_covered)
+    if unmatched_plus:
+        yield Violation(
+            "i",
+            tuple(unmatched_plus),
+            (),
+            "adjacent-support vertices left unmatched by double-support edges",
+        )
+    stray_plus = sorted(plus_covered - support.s_plus)
+    if stray_plus:
+        yield Violation(
+            "i",
+            tuple(stray_plus),
+            (),
+            "double-support edges reach outside the adjacent-support set",
+        )
+
+    unmatched_minus = sorted(support.s_minus - _covered_by(partition.m_minus))
+    if unmatched_minus:
+        yield Violation(
+            "ii",
+            tuple(unmatched_minus),
+            (),
+            "isolated-support vertices not covered by single-support edges",
+        )
+    bad_minus_edges = [
+        e
+        for e in partition.m_minus
+        if not (
+            (e.u in support.s_minus and e.v not in support.sup)
+            or (e.v in support.s_minus and e.u not in support.sup)
+        )
+    ]
+    if bad_minus_edges:
+        yield Violation(
+            "ii",
+            (),
+            tuple(bad_minus_edges),
+            "single-support edges must join an isolated support to a"
+            " non-support vertex",
+        )
+
+    pool = sorted(support.s_minus | _covered_by(partition.m_star))
+    yield from _local_violations(adjacency, pinned, m, pool, "iii", "iv")
 
 
 def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
@@ -214,77 +266,11 @@ def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
         raise DomainError(f"minimum degree {delta} is outside {{1, 2}}")
     if not is_maximal_matching(g, m.edges):
         raise DomainError("matching is not maximal")
-    support = support_classification(g)
-    partition = _partition(m, support)  # edges were validated just above
-    violations: list[Violation] = []
-
-    plus_covered = _covered_by(partition.m_plus)
-    unmatched_plus = sorted(support.s_plus - plus_covered)
-    stray_plus = sorted(plus_covered - support.s_plus)
-    if unmatched_plus:
-        violations.append(
-            Violation(
-                "i",
-                tuple(unmatched_plus),
-                (),
-                "adjacent-support vertices left unmatched by double-support edges",
-            )
-        )
-    if stray_plus:
-        violations.append(
-            Violation(
-                "i",
-                tuple(stray_plus),
-                (),
-                "double-support edges reach outside the adjacent-support set",
-            )
-        )
-    verdict_i = not unmatched_plus and not stray_plus
-
-    minus_covered = _covered_by(partition.m_minus)
-    unmatched_minus = sorted(support.s_minus - minus_covered)
-    if unmatched_minus:
-        violations.append(
-            Violation(
-                "ii",
-                tuple(unmatched_minus),
-                (),
-                "isolated-support vertices not covered by single-support edges",
-            )
-        )
-    bad_minus_edges = [
-        e
-        for e in partition.m_minus
-        if not (
-            (e.u in support.s_minus and e.v not in support.sup)
-            or (e.v in support.s_minus and e.u not in support.sup)
-        )
-    ]
-    if bad_minus_edges:
-        violations.append(
-            Violation(
-                "ii",
-                (),
-                tuple(bad_minus_edges),
-                "single-support edges must join an isolated support to a"
-                " non-support vertex",
-            )
-        )
-    verdict_ii = not unmatched_minus and not bad_minus_edges
-
-    pool = sorted(support.s_minus | _covered_by(partition.m_star))
     adjacency = g._adjacency
-    verdict_iii, verdict_iv = _check_local_conditions(
-        adjacency,
-        _pinned_pairs(adjacency, g.vertices()),
-        m,
-        pool,
-        "iii",
-        "iv",
-        violations,
+    violations = _certificate_violations(
+        adjacency, support_classification(g), _pinned_pairs(adjacency, g.vertices()), m
     )
-    verdicts = {"i": verdict_i, "ii": verdict_ii, "iii": verdict_iii, "iv": verdict_iv}
-    return ConditionReport(verdicts, tuple(violations))
+    return _report(CONDITION_IDS, violations)
 
 
 def iter_maximal_matchings(
@@ -331,17 +317,22 @@ def find_certifying_matching(
     """First maximal matching satisfying all four certificate conditions.
 
     Matchings are tried in the enumeration order of
-    :func:`iter_maximal_matchings`, so the result is deterministic.  Returns
-    None when no matching certifies, which for connected graphs of minimum
-    degree one or two means γ_t < 2μ*.
+    :func:`iter_maximal_matchings`, so the result is deterministic, and each
+    is dropped at its first violation.  Returns None when no matching
+    certifies, which for connected graphs of minimum degree one or two
+    means γ_t < 2μ*.
     """
     delta = min_degree(g)
     if delta not in (1, 2):
         raise DomainError(f"minimum degree {delta} is outside {{1, 2}}")
+    adjacency = g._adjacency
+    support = support_classification(g)
+    pinned = _pinned_pairs(adjacency, g.vertices())
     for matching in iter_maximal_matchings(g, budget=budget):
-        report = check_certificate_conditions(g, matching)
-        if report.holds:
-            return CertifyingMatchingResult(matching, partition_matching(g, matching), report)
+        if next(_certificate_violations(adjacency, support, pinned, matching), None) is None:
+            return CertifyingMatchingResult(
+                matching, _partition(matching, support), _report(CONDITION_IDS, ())
+            )
     return None
 
 

@@ -15,9 +15,5 @@ class DomainError(DomatchError, ValueError):
     """The input violates an operation's precondition."""
 
 
-class ClassificationError(DomainError):
-    """A matching edge cannot be placed in any partition class."""
-
-
 class ResourceLimitError(DomatchError, RuntimeError):
     """A configured size or search budget was exceeded."""

@@ -184,7 +184,7 @@ def parse_edge_list(text: str) -> Graph:
             order.append(token)
         return index[token]
 
-    edges: set[Edge] = set()
+    edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -201,7 +201,7 @@ def parse_edge_list(text: str) -> Graph:
         a, b = tokens
         if a == b:
             raise EdgeListFormatError(f"line {lineno}: self-loop at {a!r}")
-        edges.add(Edge.of(vertex_id(a, lineno), vertex_id(b, lineno)))
+        edges.append((vertex_id(a, lineno), vertex_id(b, lineno)))
     return Graph(len(order), edges, labels=order)
 
 

@@ -19,20 +19,24 @@ refutation is an id of the input graph.
 
 A leafless graph has no support vertices, so its two conditions are the
 leafy conditions (iii)/(iv) of :mod:`domatch.characterization` taken over
-the matched vertices; both checkers run the same condition engine.
+the matched vertices; both checkers run the same condition engine.  The
+checks form one violation stream (maximality, then (i), then (ii)): the
+public checker reports all of it, and a refutation is its first item, so
+``recognize`` stops at the first failure.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .characterization import (
     ConditionReport,
     Violation,
-    _check_local_conditions,
+    _local_violations,
     _pinned_pairs,
+    _report,
 )
 from .errors import DomainError
 from .graph import (
@@ -191,29 +195,27 @@ def _extending_edge(
     return None
 
 
-def _degree_two_report(
+#: Condition identifiers of the degree-two checker, in report order.
+_DEGREE_TWO_IDS = ("maximal", "i", "ii")
+
+
+def _degree_two_violations(
     adjacency: Sequence[frozenset[int]],
     pinned: Mapping[int, set[int]],
     vertices: Sequence[int],
     m: Matching,
-) -> ConditionReport:
-    """The ``maximal``, ``i`` and ``ii`` verdicts of ``m`` on sorted ``vertices``."""
-    violations: list[Violation] = []
+) -> Iterator[Violation]:
+    """Violations of ``maximal``, ``i`` and ``ii``, in that order, by ``m``
+    on sorted ``vertices``."""
     extending = _extending_edge(adjacency, vertices, m.covered)
     if extending is not None:
-        violations.append(
-            Violation(
-                "maximal",
-                tuple(extending),
-                (extending,),
-                f"edge {extending.u}-{extending.v} could extend the matching",
-            )
+        yield Violation(
+            "maximal",
+            tuple(extending),
+            (extending,),
+            f"edge {extending.u}-{extending.v} could extend the matching",
         )
-    verdict_i, verdict_ii = _check_local_conditions(
-        adjacency, pinned, m, sorted(m.covered), "i", "ii", violations
-    )
-    verdicts = {"maximal": extending is None, "i": verdict_i, "ii": verdict_ii}
-    return ConditionReport(verdicts, tuple(violations))
+    yield from _local_violations(adjacency, pinned, m, sorted(m.covered), "i", "ii")
 
 
 def check_degree_two_certificate(g: Graph, m: Matching) -> ConditionReport:
@@ -231,9 +233,10 @@ def check_degree_two_certificate(g: Graph, m: Matching) -> ConditionReport:
         raise DomainError(f"minimum degree {delta}, expected exactly 2")
     _validated_edges(g, m)
     adjacency = g._adjacency
-    return _degree_two_report(
+    violations = _degree_two_violations(
         adjacency, _pinned_pairs(adjacency, g.vertices()), g.vertices(), m
     )
+    return _report(_DEGREE_TWO_IDS, violations)
 
 
 def _component_certificate(
@@ -254,16 +257,15 @@ def _component_certificate(
     if shared:
         return Refutation(REASON_NOT_MATCHING, tuple(shared), "candidate edges share endpoints")
     m = Matching(candidate)
-    report = _degree_two_report(adjacency, pinned, vertices, m)
-    if not report.verdicts["maximal"]:
+    first = next(_degree_two_violations(adjacency, pinned, vertices, m), None)
+    if first is None:
+        return CertifyingMatching(m, _report(_DEGREE_TWO_IDS, ()))
+    if first.condition == "maximal":
         return Refutation(
             REASON_NOT_MAXIMAL, (), f"candidate matching of {len(m)} edges is not maximal"
         )
-    for condition, reason in (("i", REASON_CONDITION_I), ("ii", REASON_CONDITION_II)):
-        if not report.verdicts[condition]:
-            first = next(v for v in report.violations if v.condition == condition)
-            return Refutation(reason, first.vertices, first.message)
-    return CertifyingMatching(m, report)
+    reason = REASON_CONDITION_I if first.condition == "i" else REASON_CONDITION_II
+    return Refutation(reason, first.vertices, first.message)
 
 
 def recognize(g: Graph) -> RecognitionOutcome:

@@ -243,15 +243,28 @@ def test_find_rejects_wrong_minimum_degree():
 
 
 def test_find_returns_first_hit_of_enumeration():
-    g = subdivided_grid(2)
-    found = find_certifying_matching(g)
-    by_scan = next(
-        m
-        for m in iter_maximal_matchings(g)
-        if check_certificate_conditions(g, m).holds
-    )
-    assert found is not None
-    assert found.matching == by_scan
+    # The search stops each matching at its first violation; its hit, report
+    # and partition must still be those of a scan with the public checkers.
+    graphs = [subdivided_grid(2)]
+    graphs += [g for n in range(2, 8) for g in connected_catalog(n) if min_degree(g) in (1, 2)]
+    hits = 0
+    for g in graphs:
+        found = find_certifying_matching(g)
+        by_scan = next(
+            (
+                m
+                for m in iter_maximal_matchings(g)
+                if check_certificate_conditions(g, m).holds
+            ),
+            None,
+        )
+        assert (found is None) == (by_scan is None)
+        if found is not None:
+            hits += 1
+            assert found.matching == by_scan
+            assert found.report == check_certificate_conditions(g, found.matching)
+            assert found.partition == partition_matching(g, found.matching)
+    assert (len(graphs), hits) == (823, 52)
 
 
 def test_find_agrees_with_oracle_on_small_catalog():

@@ -232,6 +232,9 @@ def test_degree_two_conditions_are_the_leafy_conditions_without_leaves():
                 matchings += 1
                 leafless = check_degree_two_certificate(g, m)
                 leafy = check_certificate_conditions(g, m)
+                for report in (leafless, leafy):
+                    named = {v.condition for v in report.violations}
+                    assert {c for c, ok in report.verdicts.items() if not ok} == named
                 assert leafy.verdicts["i"] and leafy.verdicts["ii"]
                 for short, long in (("i", "iii"), ("ii", "iv")):
                     assert leafless.verdicts[short] == leafy.verdicts[long]
@@ -409,14 +412,27 @@ def test_certifying_matching_is_minimum():
 
 def test_recognizer_agrees_with_oracle_on_small_catalog():
     checked = 0
+    refuted = {"i": 0, "ii": 0}
     for n in range(3, 9):
         for g in connected_catalog(n):
             if min_degree(g) != 2:
                 continue
             checked += 1
             found = find_certifying_matching(g) is not None
-            assert recognize(g).verdict == is_tight_graph(g) == found
+            outcome = recognize(g)
+            assert outcome.verdict == is_tight_graph(g) == found
+            refutation = outcome.certificates[0]
+            condition = {REASON_CONDITION_I: "i", REASON_CONDITION_II: "ii"}.get(
+                refutation.reason if isinstance(refutation, Refutation) else None
+            )
+            if condition is not None:
+                # the refutation is the first violation of the failed condition
+                report = check_degree_two_certificate(g, Matching(build_candidate_matching(g)))
+                first = next(v for v in report.violations if v.condition == condition)
+                assert (refutation.vertices, refutation.detail) == (first.vertices, first.message)
+                refuted[condition] += 1
     assert checked == 5263
+    assert refuted == {"i": 0, "ii": 19}
 
 
 def test_recognizer_agrees_with_oracle_on_subdivided_petersen():
