@@ -6,6 +6,11 @@ maximal matching number, the predicates behind them, and the degree-aware
 upper-bound report.  All searches are deterministic; witnesses are the
 lexicographically least optima under sorted vertex and edge order.
 
+Both solvers prune with a cap on the next pick and a packing bound, found
+in one pass over what is still undominated.  Both cut only branches that
+hold no solution, so the first hit of the lexicographic search, and hence
+the witness, is that of the unpruned search; only node counts differ.
+
 Intended for desk-scale instances.  A hard vertex limit (default
 :data:`DEFAULT_MAX_VERTICES`) turns oversized inputs into a loud
 :class:`~domatch.errors.ResourceLimitError` instead of an open-ended run.
@@ -70,7 +75,11 @@ class Matching(object):
         return iter(self._edges)
 
     def __contains__(self, e: object) -> bool:
-        return e in set(self._edges)
+        # Membership among the canonical edges: a pair counts only as (u, v), u < v.
+        if not isinstance(e, tuple) or len(e) != 2:
+            return False
+        u, v = e
+        return u in self._partner and self._partner[u] == v and u < v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -211,41 +220,58 @@ def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:
 
     Iterative deepening on the solution size; within one size the subsets
     are explored in lexicographic order, so the first hit is the
-    lexicographically least optimal witness.  Pruning discards branches in
-    which some still-undominated vertex has no potential dominator left.
+    lexicographically least optimal witness.  Picks only grow, so the next
+    one is at most the smallest largest-neighbor of an undominated vertex
+    (a cap below the first allowed id leaves a vertex undominatable).
+    Undominated vertices whose neighborhoods within the allowed ids are
+    pairwise disjoint each need a pick of their own, so a greedy packing
+    of them larger than the free slots prunes; on the whole graph it gives
+    the first size tried.  Neither cut loses a solution, so the witness is
+    that of the unpruned search.
     """
     n = g.vertex_count
     if n == 0:
         return 0, (), 0
     nbr = _neighbor_masks(g)
     full = (1 << n) - 1
-    max_cover = max(m.bit_count() for m in nbr)
-    # Largest id of a potential dominator, for O(1) reachability pruning.
-    max_dominator = [max(g.neighbors(v)) for v in g.vertices()]
+    max_dominator = [m.bit_length() - 1 for m in nbr]
     nodes = 0
+
+    def bounds(start: int, undominated: int, slots: int) -> tuple[int, int]:
+        # (cap on the next pick, picks still needed), stopping once need > slots
+        cap = n - 1
+        need = 0
+        used = 0
+        allowed = full >> start << start
+        while undominated:
+            low = undominated & -undominated
+            u = low.bit_length() - 1
+            undominated ^= low
+            if max_dominator[u] < cap:
+                cap = max_dominator[u]
+            reach = nbr[u] & allowed
+            if reach & used == 0:
+                used |= reach
+                need += 1
+                if need > slots:
+                    break
+        return cap, need
 
     def dfs(start: int, dominated: int, slots: int, chosen: tuple[int, ...]):
         nonlocal nodes
         nodes += 1
         if slots == 0:
             return chosen if dominated == full else None
-        undominated = full & ~dominated
-        if undominated.bit_count() > slots * max_cover:
+        cap, need = bounds(start, full & ~dominated, slots)
+        if cap < start or need > slots:
             return None
-        probe = undominated
-        while probe:
-            low = probe & -probe
-            if max_dominator[low.bit_length() - 1] < start:
-                return None
-            probe ^= low
-        for v in range(start, n - slots + 1):
+        for v in range(start, min(cap, n - slots) + 1):
             found = dfs(v + 1, dominated | nbr[v], slots - 1, chosen + (v,))
             if found is not None:
                 return found
         return None
 
-    least_size = -(-n // max_cover)  # every pick dominates at most max_cover vertices
-    for k in range(max(1, least_size), n + 1):
+    for k in range(max(1, bounds(0, full, n)[1]), n + 1):
         witness = dfs(0, 0, k, ())
         if witness is not None:
             return k, witness, nodes
@@ -257,7 +283,13 @@ def _solve_minimum_maximal_matching(g: Graph) -> tuple[int, tuple[Edge, ...], in
 
     Same iterative-deepening scheme as the domination solver, over sorted
     edges.  An edge set is maximal exactly when no edge has both endpoints
-    uncovered, which doubles as the branching candidate set.
+    uncovered, which doubles as the branching candidate set.  The next
+    pick is at most the smallest ``max_killer`` of an undominated edge.  A
+    pick settles at most two of a set of vertex-disjoint undominated edges,
+    and at most one of a set whose kill sets, restricted to undominated
+    edges of allowed index, are pairwise disjoint; greedy sets of either
+    kind too large for the free slots prune.  Neither cut loses a
+    solution, so the witness is that of the unpruned search.
     """
     edges, kill, max_killer = _edge_masks(g)
     m = len(edges)
@@ -267,45 +299,51 @@ def _solve_minimum_maximal_matching(g: Graph) -> tuple[int, tuple[Edge, ...], in
     full = (1 << m) - 1
     nodes = 0
 
-    def disjoint_in(undominated: int, cap: int) -> int:
-        # Greedy count of pairwise vertex-disjoint edges, stopping past cap.
-        count = 0
-        used = 0
-        probe = undominated
-        while probe and count <= cap:
-            low = probe & -probe
+    def bounds(start: int, undominated: int, slots: int) -> tuple[int, int]:
+        # (cap on the next pick, picks still needed), stopping once need > slots
+        cap = m - 1
+        disjoint = packed = 0
+        covered = killed = 0
+        allowed = undominated >> start << start
+        limit = 2 * slots
+        while undominated:
+            low = undominated & -undominated
             i = low.bit_length() - 1
-            probe ^= low
-            if vmask[i] & used == 0:
-                used |= vmask[i]
-                count += 1
-        return count
+            undominated ^= low
+            if max_killer[i] < cap:
+                cap = max_killer[i]
+            if vmask[i] & covered == 0:
+                covered |= vmask[i]
+                disjoint += 1
+                if disjoint > limit:
+                    break
+            reach = kill[i] & allowed
+            if reach & killed == 0:
+                killed |= reach
+                packed += 1
+                if packed > slots:
+                    break
+        return cap, max(packed, -(-disjoint // 2))
 
     def dfs(start: int, undominated: int, slots: int, chosen: tuple[int, ...]):
         nonlocal nodes
         nodes += 1
         if slots == 0:
             return chosen if undominated == 0 else None
-        if undominated == 0:
-            return None  # no extendable edge remains, yet slots are unfilled
-        first = (undominated & -undominated).bit_length() - 1
-        if max_killer[first] < start:
-            return None  # the least undominated edge can no longer be covered
-        if disjoint_in(undominated, 2 * slots) > 2 * slots:
-            return None  # each further pick settles at most two disjoint edges
-        candidates = undominated >> start
-        offset = start
+        cap, need = bounds(start, undominated, slots)
+        if cap < start or need > slots:
+            return None
+        candidates = (undominated & ((2 << cap) - 1)) >> start
         while candidates:
             low = candidates & -candidates
-            i = offset + low.bit_length() - 1
+            i = start + low.bit_length() - 1
             candidates ^= low
             found = dfs(i + 1, undominated & ~kill[i], slots - 1, chosen + (i,))
             if found is not None:
                 return found
         return None
 
-    least_size = -(-disjoint_in(full, m) // 2)
-    for k in range(max(1, least_size), m + 1):
+    for k in range(max(1, bounds(0, full, m)[1]), m + 1):
         witness = dfs(0, full, k, ())
         if witness is not None:
             return k, tuple(edges[i] for i in witness), nodes

@@ -59,6 +59,20 @@ def test_matching_canonicalizes_edges():
     assert hash(m) == hash(Matching([(1, 0), (4, 3)]))
 
 
+def test_matching_membership_is_canonical_edge_membership():
+    m = Matching([(4, 3), (0, 1), (6, 9)])
+    edge_set = set(m.edges)
+    probes = [
+        Edge(0, 1), Edge(3, 4), Edge(1, 2), Edge(6, 9),
+        (0, 1), (1, 0), (3, 4), (4, 3), (9, 6), (0, 3), (3.0, 4.0), (7, None),
+        (0, 1, 2), "0-1", "01", 5, None, frozenset({0, 1}), object(),
+    ]
+    for probe in probes:
+        assert (probe in m) == (probe in edge_set), probe
+    assert Edge(3, 4) in m and (3, 4) in m
+    assert (4, 3) not in m and "0-1" not in m
+
+
 def test_matching_rejects_shared_endpoint():
     with pytest.raises(DomainError, match="not disjoint"):
         Matching([(0, 1), (1, 2)])
@@ -161,10 +175,42 @@ def test_solvers_match_brute_force_catalog(n):
         assert mm.witness.edges == mm_witness
 
 
+def assert_solvers_match_brute_force(g):
+    td = total_domination_number(g)
+    assert (td.value, tuple(sorted(td.witness))) == helpers.brute_total_domination(g)
+    mm = minimum_maximal_matching(g)
+    assert (mm.value, mm.witness.edges) == helpers.brute_minimum_maximal_matching(g)
+
+
 def test_solvers_match_brute_force_seven_vertex_sample():
     for g in connected_catalog(7)[::17]:
-        assert total_domination_number(g).value == helpers.brute_total_domination(g)[0]
-        assert minimum_maximal_matching(g).value == helpers.brute_minimum_maximal_matching(g)[0]
+        assert_solvers_match_brute_force(g)
+
+
+def test_solvers_match_brute_force_on_relabelled_random_graphs():
+    # A relabelling moves the vertices and edges that bound the next pick,
+    # so the caps cut in different places; witnesses must not move with them.
+    rng = random.Random(20190)
+    for _ in range(400):
+        n = rng.randint(8, 11)
+        g = helpers.random_connected_graph(rng, n, rng.randint(0, 18 - (n - 1)))
+        permutation = list(range(n))
+        rng.shuffle(permutation)
+        h = helpers.relabel(g, permutation)
+        assert h.edge_count <= 18
+        assert_solvers_match_brute_force(h)
+
+
+def test_solver_node_ceilings():
+    # Deterministic counters, never seconds.  cycle(60) comes last: a search
+    # without the packing bounds exceeds the earlier ceilings first instead of
+    # running for minutes.
+    assert total_domination_number(spider(10), max_vertices=64).stats.nodes <= 2_000
+    assert total_domination_number(subdivided_grid(7), max_vertices=64).stats.nodes <= 20_000
+    assert minimum_maximal_matching(cycle(32), max_vertices=64).stats.nodes <= 1_000
+    result = minimum_maximal_matching(cycle(60), max_vertices=60)
+    assert result.value == 20
+    assert result.stats.nodes <= 1_000
 
 
 def test_cycle_value_table():
