@@ -7,9 +7,10 @@ upper-bound report.  All searches are deterministic; witnesses are the
 lexicographically least optima under sorted vertex and edge order.
 
 Both solvers prune with a cap on the next pick and a packing bound, found
-in one pass over what is still undominated.  Both cut only branches that
-hold no solution, so the first hit of the lexicographic search, and hence
-the witness, is that of the unpruned search; only node counts differ.
+in one pass over what is still undominated; the domination solver tries an
+O(1) count bound before that pass.  All cut only branches that hold no
+solution, so the first hit of the lexicographic search, and hence the
+witness, is that of the unpruned search; only node counts differ.
 
 Intended for desk-scale instances.  A hard vertex limit (default
 :data:`DEFAULT_MAX_VERTICES`) turns oversized inputs into a loud
@@ -75,11 +76,7 @@ class Matching(object):
         return iter(self._edges)
 
     def __contains__(self, e: object) -> bool:
-        # Membership among the canonical edges: a pair counts only as (u, v), u < v.
-        if not isinstance(e, tuple) or len(e) != 2:
-            return False
-        u, v = e
-        return u in self._partner and self._partner[u] == v and u < v
+        return e in self._edges
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -225,9 +222,11 @@ def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:
     (a cap below the first allowed id leaves a vertex undominatable).
     Undominated vertices whose neighborhoods within the allowed ids are
     pairwise disjoint each need a pick of their own, so a greedy packing
-    of them larger than the free slots prunes; on the whole graph it gives
-    the first size tried.  Neither cut loses a solution, so the witness is
-    that of the unpruned search.
+    of them larger than the free slots prunes.  The O(1) count bound (a
+    pick dominates at most ``max_cover`` vertices) is tried before that
+    walk.  On the whole graph the larger bound is the first size tried.
+    Neither cut loses a solution, so the witness is that of the unpruned
+    search.
     """
     n = g.vertex_count
     if n == 0:
@@ -235,11 +234,15 @@ def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:
     nbr = _neighbor_masks(g)
     full = (1 << n) - 1
     max_dominator = [m.bit_length() - 1 for m in nbr]
+    max_cover = max(m.bit_count() for m in nbr)
     nodes = 0
 
     def bounds(start: int, undominated: int, slots: int) -> tuple[int, int]:
         # (cap on the next pick, picks still needed), stopping once need > slots
         cap = n - 1
+        least = -(-undominated.bit_count() // max_cover)
+        if least > slots:
+            return cap, least
         need = 0
         used = 0
         allowed = full >> start << start
@@ -255,7 +258,7 @@ def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:
                 need += 1
                 if need > slots:
                     break
-        return cap, need
+        return cap, max(need, least)
 
     def dfs(start: int, dominated: int, slots: int, chosen: tuple[int, ...]):
         nonlocal nodes
