@@ -5,17 +5,18 @@ number with twice the minimum maximal matching number is witnessed by a
 single maximal matching satisfying four local conditions.  This module
 splits a matching by the support status of edge endpoints, evaluates the
 four conditions with explicit violation witnesses, enumerates maximal
-matchings to search for a certificate, and builds the small total
+matchings and searches them for a certificate, and builds the small total
 dominating set that a maximal matching yields when the minimum degree is
 three or more.
 
 Each checker is one stream of :class:`Violation` objects in report order;
-a condition holds when no violation names it.  The certificate search
-classifies supports once per graph and rejects a matching at its first
-violation.  Conditions (iii)/(iv) are local checks over a vertex pool.
-Without leaves that pool is the set of matched vertices, and the same
-checks are the recognizer's degree-two conditions (i)/(ii); both run one
-engine here.
+a condition holds when no violation names it.  A certificate is a minimum
+maximal matching, so the certificate search takes only those from the
+size-by-size search of :mod:`domatch.oracles`; it classifies supports once
+per graph and rejects a matching at its first violation.  Conditions
+(iii)/(iv) are local checks over a vertex pool.  Without leaves that pool
+is the set of matched vertices, and the same checks are the recognizer's
+degree-two conditions (i)/(ii); both run one engine here.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .graph import (
     Edge,
     Graph,
@@ -31,9 +32,10 @@ from .graph import (
     min_degree,
     support_classification,
 )
-from .oracles import Matching, _edge_masks, _validated_edges, is_maximal_matching
+from .oracles import Matching, _maximal_matchings, _validated_edges, is_maximal_matching
 
-#: Node budget for exhaustive maximal-matching enumeration.
+#: Node budget shared by all sizes of one maximal-matching enumeration or
+#: certificate search.
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
 #: Condition identifiers, in report order.
@@ -278,37 +280,22 @@ def iter_maximal_matchings(
 ) -> Iterator[Matching]:
     """Yield every maximal matching of ``g`` exactly once.
 
-    Depth-first include/exclude over the sorted edge list, include branch
-    first, so matchings arrive in ascending lexicographic order of their
-    sorted edge-index tuples.  Search effort is metered; crossing ``budget``
-    nodes raises :class:`~domatch.errors.ResourceLimitError`.
+    Matchings arrive by size, smallest first, and within one size in
+    ascending lexicographic order of their sorted edge-index tuples.  The
+    sizes of the maximal matchings of a graph form an interval, so the
+    enumeration ends at the first empty size after a nonempty one.  Search
+    effort over all sizes is metered; crossing ``budget`` nodes raises
+    :class:`~domatch.errors.ResourceLimitError`.
     """
-    edges, kill, max_killer = _edge_masks(g)
-    m = len(edges)
-    if m == 0:
-        yield Matching(())
-        return
-    # Explicit stack of (next edge index, undominated edges, chosen indices);
-    # the exclude branch is pushed first so the include branch pops first.
-    stack = [(0, (1 << m) - 1, ())]
-    nodes = 0
-    while stack:
-        i, undominated, chosen = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            raise ResourceLimitError(
-                f"maximal matching enumeration exceeded {budget} nodes"
-            )
-        if undominated == 0:
-            # No edge has two uncovered endpoints, so nothing can be added.
-            yield Matching(edges[j] for j in chosen)
-            continue
-        first = (undominated & -undominated).bit_length() - 1
-        if max_killer[first] < i:
-            continue  # the least undominated edge is out of reach
-        stack.append((i + 1, undominated, chosen))
-        if undominated >> i & 1:
-            stack.append((i + 1, undominated & ~kill[i], chosen + (i,)))
+    edges = g.edges()
+    count = 0
+    for matchings in _maximal_matchings(g, [0], budget):
+        before = count
+        for chosen in matchings:
+            count += 1
+            yield Matching(edges[i] for i in chosen)
+        if before and count == before:
+            return
 
 
 def find_certifying_matching(
@@ -316,11 +303,13 @@ def find_certifying_matching(
 ) -> CertifyingMatchingResult | None:
     """First maximal matching satisfying all four certificate conditions.
 
-    Matchings are tried in the enumeration order of
-    :func:`iter_maximal_matchings`, so the result is deterministic, and each
-    is dropped at its first violation.  Returns None when no matching
-    certifies, which for connected graphs of minimum degree one or two
-    means γ_t < 2μ*.
+    A certificate forces γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so only the minimum
+    maximal matchings are tried, in the order of
+    :func:`iter_maximal_matchings`; the result is deterministic, and each
+    matching is dropped at its first violation.  Returns None once that
+    size is exhausted, which for connected graphs of minimum degree one or
+    two means γ_t < 2μ*.  Crossing ``budget`` search nodes raises
+    :class:`~domatch.errors.ResourceLimitError`.
     """
     delta = min_degree(g)
     if delta not in (1, 2):
@@ -328,11 +317,18 @@ def find_certifying_matching(
     adjacency = g._adjacency
     support = support_classification(g)
     pinned = _pinned_pairs(adjacency, g.vertices())
-    for matching in iter_maximal_matchings(g, budget=budget):
-        if next(_certificate_violations(adjacency, support, pinned, matching), None) is None:
-            return CertifyingMatchingResult(
-                matching, _partition(matching, support), _report(CONDITION_IDS, ())
-            )
+    edges = g.edges()
+    for matchings in _maximal_matchings(g, [0], budget):
+        found = False
+        for chosen in matchings:
+            found = True
+            matching = Matching(edges[i] for i in chosen)
+            if next(_certificate_violations(adjacency, support, pinned, matching), None) is None:
+                return CertifyingMatchingResult(
+                    matching, _partition(matching, support), _report(CONDITION_IDS, ())
+                )
+        if found:
+            break
     return None
 
 

@@ -6,11 +6,12 @@ maximal matching number, the predicates behind them, and the degree-aware
 upper-bound report.  All searches are deterministic; witnesses are the
 lexicographically least optima under sorted vertex and edge order.
 
-Both solvers prune with a cap on the next pick and a packing bound, found
-in one pass over what is still undominated; the domination solver tries an
-O(1) count bound before that pass.  All cut only branches that hold no
-solution, so the first hit of the lexicographic search, and hence the
-witness, is that of the unpruned search; only node counts differ.
+Both searches deepen the solution size on an explicit stack, so depth is
+not bounded by the recursion limit, and prune with a cap on the next pick
+and a packing bound found in one pass over what is still undominated (the
+domination solver tries an O(1) count bound first).  The cuts lose no
+solution, so witnesses are those of the unpruned search.  μ* is the first
+hit of :func:`_maximal_matchings`, the package's one maximal-matching search.
 
 Intended for desk-scale instances.  A hard vertex limit (default
 :data:`DEFAULT_MAX_VERTICES`) turns oversized inputs into a loud
@@ -196,22 +197,6 @@ def is_maximal_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bo
     return covered is not None and all(e.u in covered or e.v in covered for e in g.edges())
 
 
-def _edge_masks(g: Graph) -> tuple[tuple[Edge, ...], list[int], list[int]]:
-    """Sorted edges with, per edge index, the bitmask of edges sharing an
-    endpoint with it (itself included) and the highest index in that mask."""
-    edges = g.edges()
-    incident = [0] * g.vertex_count
-    for i, e in enumerate(edges):
-        incident[e.u] |= 1 << i
-        incident[e.v] |= 1 << i
-    kill = [incident[e.u] | incident[e.v] for e in edges]
-    return edges, kill, [k.bit_length() - 1 for k in kill]
-
-
-def _neighbor_masks(g: Graph) -> list[int]:
-    return [sum(1 << w for w in g.neighbors(v)) for v in g.vertices()]
-
-
 def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:
     """Smallest total dominating set of a graph without isolated vertices.
 
@@ -229,9 +214,7 @@ def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:
     search.
     """
     n = g.vertex_count
-    if n == 0:
-        return 0, (), 0
-    nbr = _neighbor_masks(g)
+    nbr = [sum(1 << w for w in g.neighbors(v)) for v in g.vertices()]
     full = (1 << n) - 1
     max_dominator = [m.bit_length() - 1 for m in nbr]
     max_cover = max(m.bit_count() for m in nbr)
@@ -260,47 +243,55 @@ def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:
                     break
         return cap, max(need, least)
 
-    def dfs(start: int, dominated: int, slots: int, chosen: tuple[int, ...]):
-        nonlocal nodes
-        nodes += 1
-        if slots == 0:
-            return chosen if dominated == full else None
-        cap, need = bounds(start, full & ~dominated, slots)
-        if cap < start or need > slots:
-            return None
-        for v in range(start, min(cap, n - slots) + 1):
-            found = dfs(v + 1, dominated | nbr[v], slots - 1, chosen + (v,))
-            if found is not None:
-                return found
-        return None
-
     for k in range(max(1, bounds(0, full, n)[1]), n + 1):
-        witness = dfs(0, 0, k, ())
-        if witness is not None:
-            return k, witness, nodes
+        # (next allowed id, dominated vertices, free slots, picks so far);
+        # children are pushed largest first so they pop in ascending order
+        stack = [(0, 0, k, ())]
+        while stack:
+            start, dominated, slots, chosen = stack.pop()
+            nodes += 1
+            if slots == 0:
+                if dominated == full:
+                    return k, chosen, nodes
+                continue
+            cap, need = bounds(start, full & ~dominated, slots)
+            if cap < start or need > slots:
+                continue
+            for v in range(min(cap, n - slots), start - 1, -1):
+                stack.append((v + 1, dominated | nbr[v], slots - 1, chosen + (v,)))
     raise AssertionError("unreachable: the full vertex set is total dominating")
 
 
-def _solve_minimum_maximal_matching(g: Graph) -> tuple[int, tuple[Edge, ...], int]:
-    """Smallest maximal matching of a graph with at least one edge.
+def _maximal_matchings(
+    g: Graph, nodes: list[int], budget: int | None = None
+) -> Iterator[Iterator[tuple[int, ...]]]:
+    """For each size k, from the whole graph's packing bound up to the edge
+    count, a generator of the maximal matchings of ``g`` with exactly k
+    edges, as sorted tuples of indices into ``g.edges()``, in lexicographic
+    order.
 
-    Same iterative-deepening scheme as the domination solver, over sorted
-    edges.  An edge set is maximal exactly when no edge has both endpoints
-    uncovered, which doubles as the branching candidate set.  The next
-    pick is at most the smallest ``max_killer`` of an undominated edge.  A
-    pick settles at most two of a set of vertex-disjoint undominated edges,
-    and at most one of a set whose kill sets, restricted to undominated
-    edges of allowed index, are pairwise disjoint; greedy sets of either
-    kind too large for the free slots prune.  Neither cut loses a
-    solution, so the witness is that of the unpruned search.
+    An edge set is maximal exactly when no edge has both endpoints
+    uncovered ("undominated"); those edges are the branching candidates.
+    The next pick is at most the smallest ``max_killer`` of an undominated
+    edge.  A pick settles at most two of a set of vertex-disjoint
+    undominated edges, and at most one of a set whose kill sets, restricted
+    to undominated edges of allowed index, are pairwise disjoint; greedy
+    sets of either kind too large for the free slots prune.  Neither cut
+    loses a matching.  Each node explored adds one to ``nodes[0]``, a
+    running total over all sizes, and crossing ``budget`` raises
+    :class:`~domatch.errors.ResourceLimitError`.
     """
-    edges, kill, max_killer = _edge_masks(g)
+    edges = g.edges()
     m = len(edges)
-    if m == 0:
-        return 0, (), 0
+    incident = [0] * g.vertex_count
+    for i, e in enumerate(edges):
+        incident[e.u] |= 1 << i
+        incident[e.v] |= 1 << i
+    # per edge: edges sharing an endpoint (itself included), their top index
+    kill = [incident[e.u] | incident[e.v] for e in edges]
+    max_killer = [k.bit_length() - 1 for k in kill]
     vmask = [(1 << e.u) | (1 << e.v) for e in edges]
     full = (1 << m) - 1
-    nodes = 0
 
     def bounds(start: int, undominated: int, slots: int) -> tuple[int, int]:
         # (cap on the next pick, picks still needed), stopping once need > slots
@@ -328,28 +319,40 @@ def _solve_minimum_maximal_matching(g: Graph) -> tuple[int, tuple[Edge, ...], in
                     break
         return cap, max(packed, -(-disjoint // 2))
 
-    def dfs(start: int, undominated: int, slots: int, chosen: tuple[int, ...]):
-        nonlocal nodes
-        nodes += 1
-        if slots == 0:
-            return chosen if undominated == 0 else None
-        cap, need = bounds(start, undominated, slots)
-        if cap < start or need > slots:
-            return None
-        candidates = (undominated & ((2 << cap) - 1)) >> start
-        while candidates:
-            low = candidates & -candidates
-            i = start + low.bit_length() - 1
-            candidates ^= low
-            found = dfs(i + 1, undominated & ~kill[i], slots - 1, chosen + (i,))
-            if found is not None:
-                return found
-        return None
+    def sized(size: int) -> Iterator[tuple[int, ...]]:
+        # (next allowed index, undominated edges, free slots, picks so far);
+        # children are pushed largest first so they pop in ascending order
+        stack = [(0, full, size, ())]
+        while stack:
+            start, undominated, slots, chosen = stack.pop()
+            nodes[0] += 1
+            if budget is not None and nodes[0] > budget:
+                raise ResourceLimitError(f"maximal matching enumeration exceeded {budget} nodes")
+            if slots == 0:
+                if undominated == 0:
+                    yield chosen
+                continue
+            cap, need = bounds(start, undominated, slots)
+            if cap < start or need > slots:
+                continue
+            candidates = (undominated & ((2 << cap) - 1)) >> start << start
+            while candidates:
+                i = candidates.bit_length() - 1
+                candidates ^= 1 << i
+                stack.append((i + 1, undominated & ~kill[i], slots - 1, chosen + (i,)))
 
-    for k in range(max(1, bounds(0, full, m)[1]), m + 1):
-        witness = dfs(0, full, k, ())
-        if witness is not None:
-            return k, tuple(edges[i] for i in witness), nodes
+    for size in range(bounds(0, full, m)[1], m + 1):
+        yield sized(size)
+
+
+def _solve_minimum_maximal_matching(g: Graph) -> tuple[int, tuple[Edge, ...], int]:
+    """Smallest maximal matching: the first hit of :func:`_maximal_matchings`
+    over growing sizes, hence the lexicographically least optimum."""
+    edges = g.edges()
+    nodes = [0]
+    for matchings in _maximal_matchings(g, nodes):
+        for chosen in matchings:
+            return len(chosen), tuple(edges[i] for i in chosen), nodes[0]
     raise AssertionError("unreachable: greedy extension yields a maximal matching")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import Iterator
 
 import networkx as nx
 
@@ -82,6 +83,35 @@ def brute_maximal_matchings(g: Graph) -> set[frozenset[Edge]]:
             if is_matching_edges(combo) and is_maximal_edges(g, combo):
                 found.add(frozenset(combo))
     return found
+
+
+def include_exclude_maximal_matchings(g: Graph) -> Iterator[Matching]:
+    """Every maximal matching, by an include/exclude walk over the sorted edges.
+
+    The include branch pops first, so matchings come in ascending
+    lexicographic order of their sorted edge-index tuples, all sizes mixed.
+    A branch dies once the least edge with both endpoints uncovered lies
+    behind the walk and nothing left can cover it.  Masks are built here,
+    independently of the package's own search.
+    """
+    edges = sorted(g.edges())
+    incident = [0] * g.vertex_count
+    for i, e in enumerate(edges):
+        incident[e.u] |= 1 << i
+        incident[e.v] |= 1 << i
+    kill = [incident[e.u] | incident[e.v] for e in edges]
+    stack = [(0, (1 << len(edges)) - 1, ())]
+    while stack:
+        i, undominated, chosen = stack.pop()
+        if undominated == 0:
+            yield Matching(edges[j] for j in chosen)
+            continue
+        first = (undominated & -undominated).bit_length() - 1
+        if kill[first].bit_length() <= i:
+            continue
+        stack.append((i + 1, undominated, chosen))
+        if undominated >> i & 1:
+            stack.append((i + 1, undominated & ~kill[i], chosen + (i,)))
 
 
 def edge_domination_check(g: Graph, m: Matching) -> bool:

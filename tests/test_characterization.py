@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -23,7 +24,15 @@ from domatch import (
     total_dominating_set_from_matching,
     total_domination_number,
 )
-from domatch.generators import cycle, high_degree_extremal, path, spider, subdivided_grid
+from domatch.generators import (
+    TightGraphParams,
+    cycle,
+    high_degree_extremal,
+    path,
+    random_tight_graph,
+    spider,
+    subdivided_grid,
+)
 
 import helpers
 from catalogs import connected_catalog
@@ -172,12 +181,20 @@ def test_condition_iv_needs_exact_witness_neighborhood():
 # maximal-matching enumeration
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def by_size_then_lex(matchings):
+    return sorted(matchings, key=lambda m: (len(m), m.edges))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_enumeration_matches_brute_force(n):
+    # the power set is too slow past 5 vertices; the include/exclude
+    # reference covers the whole catalog, order included
     for g in connected_catalog(n):
-        got = [frozenset(m.edges) for m in iter_maximal_matchings(g)]
-        assert len(set(got)) == len(got)
-        assert set(got) == helpers.brute_maximal_matchings(g)
+        got = list(iter_maximal_matchings(g))
+        assert len({frozenset(m.edges) for m in got}) == len(got)
+        assert got == by_size_then_lex(helpers.include_exclude_maximal_matchings(g))
+        if n <= 5:
+            assert {frozenset(m.edges) for m in got} == helpers.brute_maximal_matchings(g)
 
 
 def test_enumeration_matches_brute_force_fixtures():
@@ -187,11 +204,13 @@ def test_enumeration_matches_brute_force_fixtures():
 
 
 def test_enumeration_order_is_lexicographic():
-    g = cycle(7)
+    # by size first, then lexicographically by sorted edge indices
+    g = subdivided_grid(2)
     index = {e: i for i, e in enumerate(sorted(g.edges()))}
     keys = [tuple(index[e] for e in m.edges) for m in iter_maximal_matchings(g)]
-    assert keys == sorted(keys)
+    assert keys == sorted(keys, key=lambda key: (len(key), key))
     assert all(key == tuple(sorted(key)) for key in keys)
+    assert len({len(key) for key in keys}) > 1
 
 
 def test_enumeration_of_edgeless_graph_yields_empty_matching():
@@ -205,10 +224,11 @@ def test_enumeration_budget():
 
 
 def test_enumeration_depth_is_not_bounded_by_recursion():
-    # one search level per edge, far past the interpreter's recursion limit
+    # one search level per picked edge; the solvers' own depth test
+    # (tests/test_oracles.py) runs under a lowered recursion limit
     for g in (path(1200), cycle(1200)):
         first = next(iter_maximal_matchings(g))
-        assert len(first) == 600
+        assert len(first) == 400
         assert is_maximal_matching(g, first.edges)
     with pytest.raises(ResourceLimitError, match="exceeded 10000 nodes"):
         list(iter_maximal_matchings(path(1200), budget=10_000))
@@ -243,8 +263,10 @@ def test_find_rejects_wrong_minimum_degree():
 
 
 def test_find_returns_first_hit_of_enumeration():
-    # The search stops each matching at its first violation; its hit, report
-    # and partition must still be those of a scan with the public checkers.
+    # The search tries only minimum maximal matchings and stops each at its
+    # first violation; its hit, report and partition must still be those of
+    # a scan of every maximal matching, in include/exclude order, with the
+    # public checkers.
     graphs = [subdivided_grid(2)]
     graphs += [g for n in range(2, 8) for g in connected_catalog(n) if min_degree(g) in (1, 2)]
     hits = 0
@@ -253,7 +275,7 @@ def test_find_returns_first_hit_of_enumeration():
         by_scan = next(
             (
                 m
-                for m in iter_maximal_matchings(g)
+                for m in helpers.include_exclude_maximal_matchings(g)
                 if check_certificate_conditions(g, m).holds
             ),
             None,
@@ -279,6 +301,45 @@ def test_find_agrees_with_oracle_on_small_catalog():
                 assert len(found.matching) == minimum_maximal_matching(g).value
                 assert 2 * len(found.matching) == total_domination_number(g).value
                 assert is_maximal_matching(g, found.matching.edges)
+
+
+def relabelled_tight_graph(seed, params):
+    g, _ = random_tight_graph(seed, params)
+    permutation = list(range(g.vertex_count))
+    random.Random(seed).shuffle(permutation)
+    return helpers.relabel(g, permutation)
+
+
+def with_extra_edge(g, seed):
+    missing = [
+        (a, b) for a in g.vertices() for b in g.vertices() if a < b and not g.has_edge(a, b)
+    ]
+    return Graph(g.vertex_count, [*g.edges(), random.Random(seed).choice(missing)])
+
+
+def test_find_certifies_relabelled_tight_graphs_within_node_ceilings():
+    # Relabelling moves the embedded certificate far back in the order of a
+    # full enumeration; a search over all sizes then passes 10**6 nodes.  The
+    # budgets are node ceilings (measured: 27, 52, 70 and 195 nodes on the
+    # tight graphs, 282, 72, 691 and 153 on the variants).
+    cases = [(1, TightGraphParams(max_k2=20, max_a=8, mark_probability=0.35, max_vertices=64))]
+    cases += [
+        (seed, TightGraphParams(max_k2=30, max_a=10, mark_probability=0.35, max_vertices=96))
+        for seed in range(3)
+    ]
+    sizes = []
+    for seed, params in cases:
+        g = relabelled_tight_graph(seed, params)
+        found = find_certifying_matching(g, budget=500)
+        assert found is not None
+        assert check_certificate_conditions(g, found.matching).holds
+        variant = with_extra_edge(g, seed)
+        found_variant = find_certifying_matching(variant, budget=2_000)
+        for h, result in ((g, found), (variant, found_variant)):
+            if h.vertex_count <= 40:
+                assert (result is not None) == is_tight_graph(h, max_vertices=40)
+        sizes.append(g.vertex_count)
+    assert sizes == [26, 38, 39, 81]
 
 
 def test_find_budget_propagates():

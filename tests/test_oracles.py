@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -199,6 +201,23 @@ def test_solver_node_ceilings():
     result = minimum_maximal_matching(cycle(60), max_vertices=60)
     assert result.value == 20
     assert result.stats.nodes <= 1_000
+
+
+def test_solver_search_depth_is_not_bounded_by_recursion():
+    # One search level per pick: 200 edges for cycle(600), 300 vertices for
+    # path(600).  With the recursion limit 100 frames above the caller, a
+    # search that recursed per level would raise RecursionError.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        mu_star = minimum_maximal_matching(cycle(600), max_vertices=600)
+        gamma_t = total_domination_number(path(600), max_vertices=600)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (mu_star.value, mu_star.stats.nodes) == (200, 400)
+    assert (gamma_t.value, gamma_t.stats.nodes) == (300, 600)
+    assert is_maximal_matching(cycle(600), mu_star.witness.edges)
+    assert is_total_dominating(path(600), gamma_t.witness)
 
 
 def test_cycle_value_table():
