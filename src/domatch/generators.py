@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError, ResourceLimitError
-from .graph import Edge, Graph
+from .graph import Graph
 from .oracles import Matching
 
 
@@ -295,9 +295,7 @@ def build_tight_graph(
         + [f"w{i}" for i in range(witness_count)]
         + [f"p{i}" for i in range(next_id - base - recipe.a_count - witness_count)]
     )
-    edges = sorted(
-        {Edge.of(u, v) for u, neighbors in adjacency.items() for v in neighbors}
-    )
+    edges = [(u, v) for u, neighbors in adjacency.items() for v in neighbors if u < v]
     graph = Graph(next_id, edges, labels)
     matching = Matching((2 * i, 2 * i + 1) for i in range(k2))
     return graph, matching

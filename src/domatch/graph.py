@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, EdgeListFormatError
@@ -78,25 +79,46 @@ class Graph:
         if vertex_count < 0:
             raise DomainError("vertex count must be nonnegative")
         adjacency: list[set[int]] = [set() for _ in range(vertex_count)]
-        canonical: set[Edge] = set()
         for a, b in edges:
-            e = Edge.of(a, b)
-            if not (0 <= e.u and e.v < vertex_count):
-                raise DomainError(f"edge {e} has an endpoint outside 0..{vertex_count - 1}")
-            canonical.add(e)
-            adjacency[e.u].add(e.v)
-            adjacency[e.v].add(e.u)
-        self._adjacency: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adjacency)
-        self._edges: tuple[Edge, ...] = tuple(sorted(canonical))
+            if a == b:
+                raise DomainError(f"self-loop at vertex {a}")
+            if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+                raise DomainError(
+                    f"edge {Edge.of(a, b)} has an endpoint outside 0..{vertex_count - 1}"
+                )
+            adjacency[a].add(b)
+            adjacency[b].add(a)
         if labels is None:
-            self._labels: tuple[str, ...] = tuple(str(v) for v in range(vertex_count))
+            checked = tuple(map(str, range(vertex_count)))
         else:
             if len(labels) != vertex_count:
                 raise DomainError(f"{len(labels)} labels for {vertex_count} vertices")
-            if len(set(labels)) != len(labels):
+            checked = tuple(map(str, labels))
+            if len(set(checked)) != vertex_count:
                 raise DomainError("vertex labels must be unique")
-            self._labels = tuple(_check_label(str(l)) for l in labels)
+            for label in checked:
+                _check_label(label)
+        self._build(adjacency, checked)
+
+    def _build(self, adjacency: list[set[int]], labels: tuple[str, ...]) -> None:
+        # The one place a Graph is finished.  ``adjacency`` must be
+        # symmetric and loop-free over ids 0..n-1 and ``labels`` already
+        # checked; edges come out sorted by walking each u over its larger
+        # neighbours in order.
+        self._adjacency: tuple[frozenset[int], ...] = tuple(map(frozenset, adjacency))
+        pairs = [(u, v) for u, near in enumerate(adjacency) for v in sorted(near) if v > u]
+        # The pairs are canonical already; tuple.__new__ skips the
+        # Python-level constructor of the named tuple and halves the cost.
+        self._edges: tuple[Edge, ...] = tuple(map(tuple.__new__, repeat(Edge), pairs))
+        self._labels: tuple[str, ...] = labels
         self._label_index: dict[str, int] | None = None
+
+    @classmethod
+    def _from_checked(cls, adjacency: list[set[int]], labels: tuple[str, ...]) -> Graph:
+        """A graph from parts that need no validation (see :meth:`_build`)."""
+        g = cls.__new__(cls)
+        g._build(adjacency, labels)
+        return g
 
     @property
     def vertex_count(self) -> int:
@@ -173,36 +195,43 @@ def parse_edge_list(text: str) -> Graph:
         On self-loops, short or overlong lines, or labels the format cannot
         represent unambiguously.
     """
-    order: list[str] = []
     index: dict[str, int] = {}
+    adjacency: list[set[int]] = []
 
     def vertex_id(token: str, lineno: int) -> int:
+        # First sight of ``token``: check it once, then give it the next id.
         if token.startswith("#") or token == _HEADER_TOKEN:
             raise EdgeListFormatError(f"line {lineno}: label {token!r} is ambiguous in this format")
-        if token not in index:
-            index[token] = len(order)
-            order.append(token)
-        return index[token]
+        index[token] = v = len(adjacency)
+        adjacency.append(set())
+        return v
 
-    edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if tokens[0] == _HEADER_TOKEN:
             for token in tokens[1:]:
-                vertex_id(token, lineno)
+                if token not in index:
+                    vertex_id(token, lineno)
             continue
-        if len(tokens) < 2:
-            raise EdgeListFormatError(f"line {lineno}: expected two vertex labels, got {line!r}")
-        if len(tokens) > 2:
+        if len(tokens) != 2:
+            line = raw.strip()
+            if len(tokens) < 2:
+                raise EdgeListFormatError(f"line {lineno}: expected two vertex labels, got {line!r}")
             raise EdgeListFormatError(f"line {lineno}: unexpected extra tokens in {line!r}")
         a, b = tokens
         if a == b:
             raise EdgeListFormatError(f"line {lineno}: self-loop at {a!r}")
-        edges.append((vertex_id(a, lineno), vertex_id(b, lineno)))
-    return Graph(len(order), edges, labels=order)
+        u = index.get(a)
+        if u is None:
+            u = vertex_id(a, lineno)
+        v = index.get(b)
+        if v is None:
+            v = vertex_id(b, lineno)
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return Graph._from_checked(adjacency, tuple(index))
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -212,9 +241,9 @@ def serialize_edge_list(g: Graph) -> str:
     and vertex numbering survive the round trip.  Edges are emitted sorted
     canonically; comments from parsed input are not preserved.
     """
-    lines = [" ".join([_HEADER_TOKEN, *g.labels])]
-    for e in g.edges():
-        lines.append(f"{g.label(e.u)} {g.label(e.v)}")
+    labels = g._labels
+    lines = [" ".join([_HEADER_TOKEN, *labels])]
+    lines += [f"{labels[u]} {labels[v]}" for u, v in g._edges]
     return "\n".join(lines) + "\n"
 
 
@@ -285,6 +314,7 @@ def girth(g: Graph) -> int | float:
     walk of length ``dist[x] + dist[y] + 1`` that contains a cycle no longer
     than that, and the minimum over all roots is exact.
     """
+    adjacency = g._adjacency
     best: int | float = INFINITE_GIRTH
     for root in g.vertices():
         dist = {root: 0}
@@ -295,7 +325,7 @@ def girth(g: Graph) -> int | float:
             dx = dist[x]
             if 2 * dx >= best:
                 continue
-            for y in g.neighbors(x):
+            for y in adjacency[x]:
                 if y not in dist:
                     dist[y] = dx + 1
                     parent[y] = x
@@ -327,7 +357,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
     edges = [
         (back[e.u], back[e.v]) for e in g.edges() if e.u in back and e.v in back
     ]
-    labels = [g.label(v) for v in chosen]
+    labels = [g._labels[v] for v in chosen]
     return InducedSubgraph(Graph(len(chosen), edges, labels=labels), tuple(chosen))
 
 
@@ -335,7 +365,7 @@ def is_cycle_of_length(g: Graph, n: int) -> bool:
     """True when ``g`` is a cycle on exactly ``n`` vertices (n >= 3)."""
     if n < 3 or g.vertex_count != n or g.edge_count != n:
         return False
-    if any(g.degree(v) != 2 for v in g.vertices()):
+    if any(len(near) != 2 for near in g._adjacency):
         return False
     return is_connected(g)
 

@@ -92,6 +92,9 @@ def test_graph_rejects_bad_input():
         Graph(1, [], labels=["#a"])
     with pytest.raises(DomainError):
         Graph(1, [], labels=["vertices:"])
+    # labels are compared after conversion to text
+    with pytest.raises(DomainError, match="unique"):
+        Graph(2, [(0, 1)], labels=[1, "1"])
 
 
 def test_graph_equality_includes_labels():
@@ -156,6 +159,24 @@ def test_parse_error_names_line():
         parse_edge_list("a b\nbroken\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a\n", "line 1: expected two vertex labels, got 'a'"),
+        ("a b\n\t x  y z \n", "line 2: unexpected extra tokens in 'x  y z'"),
+        ("# c\na b\nc c\n", "line 3: self-loop at 'c'"),
+        ("a #b\n", "line 1: label '#b' is ambiguous in this format"),
+        ("x y\na vertices:\n", "line 2: label 'vertices:' is ambiguous in this format"),
+        ("\nvertices: a #b c\n", "line 2: label '#b' is ambiguous in this format"),
+        ("a b\nbroken\nc c\nd #e\n", "line 2: expected two vertex labels, got 'broken'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(EdgeListFormatError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
 def test_round_trip_fixed_graphs():
     for g in [spider(2), subdivided_grid(2), triangle_book(3), path(4)]:
         assert parse_edge_list(serialize_edge_list(g)) == g
@@ -166,6 +187,67 @@ def test_round_trip_preserves_isolated_vertices():
     again = parse_edge_list(serialize_edge_list(g))
     assert again == g
     assert again.degree(0) == 0
+
+
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])
+_GAP = st.sampled_from([" ", "\t", "  ", " \t"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text with comments, blank lines, odd whitespace, repeated
+    and flipped edges, and at most one header that may name isolated
+    vertices."""
+    names = draw(
+        st.lists(
+            st.text(alphabet="abxy01_:#", min_size=1, max_size=3).filter(
+                lambda t: not t.startswith("#")
+            ),
+            min_size=2,
+            max_size=9,
+            unique=True,
+        )
+    )
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+        lambda p: p[0] != p[1]
+    )
+    lines = [draw(_GAP).join(p) for p in draw(st.lists(pairs, max_size=15))]
+    if draw(st.booleans()):
+        header = draw(st.lists(st.sampled_from(names), max_size=len(names)))
+        lines.insert(draw(st.integers(0, len(lines))), " ".join(["vertices:", *header]))
+    for extra in draw(st.lists(st.sampled_from(["", "#", "# a b c", "\t# x"]), max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    lines = [draw(_BLANK) + line + draw(_BLANK) for line in lines]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+def tokenized_graph(text):
+    """The graph ``text`` describes, read by this test's own tokenizer."""
+    ids: dict[str, int] = {}
+    pairs = []
+    for line in text.split("\n"):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] == "vertices:":
+            for token in tokens[1:]:
+                ids.setdefault(token, len(ids))
+        else:
+            a, b = (ids.setdefault(token, len(ids)) for token in tokens)
+            pairs.append((a, b))
+    return Graph(len(ids), pairs, labels=list(ids))
+
+
+@given(edge_list_texts())
+def test_parse_agrees_with_constructor(text):
+    g = parse_edge_list(text)
+    expected = tokenized_graph(text)
+    assert g == expected
+    assert hash(g) == hash(expected)
+    assert g.labels == expected.labels
+    assert g.edges() == expected.edges()
+    assert all(type(e) is Edge and e.u < e.v for e in g.edges())
+    assert list(g.edges()) == sorted(set(g.edges()))
 
 
 @given(small_graphs())
