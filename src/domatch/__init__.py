@@ -3,146 +3,110 @@
 Exact solvers for both invariants, a certificate checker and searcher for
 the minimum-degree-at-most-two characterization, a polynomial recognizer
 for the leafless case, and generators for the named graph families.
+
+Importing the package loads none of its modules.  Each public name is
+imported from its module on first access (PEP 562), so a caller pays only
+for the modules it uses.
 """
 
-from .characterization import (
-    CONDITION_IDS,
-    CertifyingMatchingResult,
-    ConditionReport,
-    MatchingPartition,
-    Violation,
-    check_certificate_conditions,
-    find_certifying_matching,
-    iter_maximal_matchings,
-    partition_matching,
-    total_dominating_set_from_matching,
-)
-from .errors import (
-    DomainError,
-    DomatchError,
-    EdgeListFormatError,
-    ResourceLimitError,
-)
-from .generators import (
-    TightGraphParams,
-    TightRecipe,
-    build_tight_graph,
-    cycle,
-    high_degree_extremal,
-    path,
-    random_tight_graph,
-    recipe_from_text,
-    recipe_to_text,
-    spider,
-    subdivided_grid,
-    triangle_book,
-)
-from .graph import (
-    INFINITE_GIRTH,
-    Edge,
-    Graph,
-    SupportClassification,
-    connected_components,
-    degree_two_vertices,
-    girth,
-    induced_subgraph,
-    is_connected,
-    is_cycle_of_length,
-    min_degree,
-    parse_edge_list,
-    serialize_edge_list,
-    support_classification,
-    triangle_book_parameter,
-)
-from .oracles import (
-    DEFAULT_MAX_VERTICES,
-    BoundReport,
-    Matching,
-    SearchStats,
-    SolverResult,
-    check_matching_bound,
-    is_matching,
-    is_maximal_matching,
-    is_tight_graph,
-    is_total_dominating,
-    minimum_maximal_matching,
-    total_domination_number,
-)
-from .recognizer import (
-    CertifyingMatching,
-    ComponentOutcome,
-    ExceptionalBook,
-    ExceptionalSixCycle,
-    RecognitionOutcome,
-    Refutation,
-    build_candidate_matching,
-    check_degree_two_certificate,
-    recognize,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "CONDITION_IDS",
-    "CertifyingMatching",
-    "CertifyingMatchingResult",
-    "ComponentOutcome",
-    "ConditionReport",
-    "DEFAULT_MAX_VERTICES",
-    "DomainError",
-    "DomatchError",
-    "Edge",
-    "EdgeListFormatError",
-    "ExceptionalBook",
-    "ExceptionalSixCycle",
-    "Graph",
-    "INFINITE_GIRTH",
-    "Matching",
-    "MatchingPartition",
-    "RecognitionOutcome",
-    "Refutation",
-    "ResourceLimitError",
-    "SearchStats",
-    "SolverResult",
-    "SupportClassification",
-    "TightGraphParams",
-    "TightRecipe",
-    "Violation",
-    "build_candidate_matching",
-    "build_tight_graph",
-    "check_certificate_conditions",
-    "check_degree_two_certificate",
-    "check_matching_bound",
-    "connected_components",
-    "cycle",
-    "degree_two_vertices",
-    "find_certifying_matching",
-    "girth",
-    "high_degree_extremal",
-    "induced_subgraph",
-    "is_connected",
-    "is_cycle_of_length",
-    "is_matching",
-    "is_maximal_matching",
-    "is_tight_graph",
-    "is_total_dominating",
-    "iter_maximal_matchings",
-    "min_degree",
-    "minimum_maximal_matching",
-    "parse_edge_list",
-    "partition_matching",
-    "path",
-    "random_tight_graph",
-    "recipe_from_text",
-    "recipe_to_text",
-    "recognize",
-    "serialize_edge_list",
-    "spider",
-    "subdivided_grid",
-    "support_classification",
-    "total_dominating_set_from_matching",
-    "total_domination_number",
-    "triangle_book",
-    "triangle_book_parameter",
-]
+#: Public names by the module that defines them.
+_EXPORTS = {
+    "characterization": (
+        "CONDITION_IDS",
+        "CertifyingMatchingResult",
+        "ConditionReport",
+        "MatchingPartition",
+        "Violation",
+        "check_certificate_conditions",
+        "find_certifying_matching",
+        "iter_maximal_matchings",
+        "partition_matching",
+        "total_dominating_set_from_matching",
+    ),
+    "errors": (
+        "DomainError",
+        "DomatchError",
+        "EdgeListFormatError",
+        "ResourceLimitError",
+    ),
+    "generators": (
+        "TightGraphParams",
+        "TightRecipe",
+        "build_tight_graph",
+        "cycle",
+        "high_degree_extremal",
+        "path",
+        "random_tight_graph",
+        "recipe_from_text",
+        "recipe_to_text",
+        "spider",
+        "subdivided_grid",
+        "triangle_book",
+    ),
+    "graph": (
+        "INFINITE_GIRTH",
+        "Edge",
+        "Graph",
+        "SupportClassification",
+        "connected_components",
+        "degree_two_vertices",
+        "girth",
+        "induced_subgraph",
+        "is_connected",
+        "is_cycle_of_length",
+        "min_degree",
+        "parse_edge_list",
+        "serialize_edge_list",
+        "support_classification",
+        "triangle_book_parameter",
+    ),
+    "oracles": (
+        "DEFAULT_MAX_VERTICES",
+        "BoundReport",
+        "Matching",
+        "SearchStats",
+        "SolverResult",
+        "check_matching_bound",
+        "is_matching",
+        "is_maximal_matching",
+        "is_tight_graph",
+        "is_total_dominating",
+        "minimum_maximal_matching",
+        "total_domination_number",
+    ),
+    "recognizer": (
+        "CertifyingMatching",
+        "ComponentOutcome",
+        "ExceptionalBook",
+        "ExceptionalSixCycle",
+        "RecognitionOutcome",
+        "Refutation",
+        "build_candidate_matching",
+        "check_degree_two_certificate",
+        "recognize",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Submodules (``domatch.oracles``) resolve too; importing one binds it here.
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

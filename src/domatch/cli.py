@@ -11,6 +11,11 @@ success, 1 for a negative verdict, 2 for any error.
 input file.  The solver vertex limit can be raised per call with
 ``--max-vertices`` or globally through the ``DOMATCH_MAX_VERTICES``
 environment variable; an explicit flag wins.
+
+Every subcommand needs ``errors``, ``graph`` and ``oracles``, which are
+imported here; ``generators``, ``recognizer`` and ``characterization`` are
+imported inside the handlers that use them, so a child process running one
+subcommand compiles only the modules it needs.
 """
 
 from __future__ import annotations
@@ -18,23 +23,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .characterization import (
-    ConditionReport,
-    check_certificate_conditions,
-    partition_matching,
-)
 from .errors import DomainError, DomatchError, EdgeListFormatError
-from .generators import (
-    cycle,
-    high_degree_extremal,
-    path,
-    random_tight_graph,
-    spider,
-    subdivided_grid,
-    triangle_book,
-)
 from .graph import (
     INFINITE_GIRTH,
     Edge,
@@ -45,6 +36,7 @@ from .graph import (
     serialize_edge_list,
 )
 from .oracles import (
+    DEFAULT_MAX_VERTICES,
     Matching,
     check_matching_bound,
     is_matching,
@@ -53,14 +45,9 @@ from .oracles import (
     minimum_maximal_matching,
     total_domination_number,
 )
-from .recognizer import (
-    CertifyingMatching,
-    ExceptionalBook,
-    ExceptionalSixCycle,
-    Refutation,
-    check_degree_two_certificate,
-    recognize,
-)
+
+if TYPE_CHECKING:
+    from .characterization import ConditionReport
 
 #: Environment variable overriding the solver vertex limit.
 MAX_VERTICES_ENV = "DOMATCH_MAX_VERTICES"
@@ -176,6 +163,8 @@ def _run_bounds(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _certificate_human(g: Graph, certificate) -> str:
+    from .recognizer import CertifyingMatching, ExceptionalBook, ExceptionalSixCycle, Refutation
+
     if isinstance(certificate, ExceptionalBook):
         pages = certificate.pages
         return f"yes - triangle book ({pages} page{'s' if pages != 1 else ''})"
@@ -189,6 +178,8 @@ def _certificate_human(g: Graph, certificate) -> str:
 
 
 def _certificate_machine(g: Graph, certificate) -> list[str]:
+    from .recognizer import CertifyingMatching, ExceptionalBook, ExceptionalSixCycle, Refutation
+
     if isinstance(certificate, ExceptionalBook):
         return ["certificate: triangle-book", f"book_pages: {certificate.pages}"]
     if isinstance(certificate, ExceptionalSixCycle):
@@ -206,6 +197,8 @@ def _certificate_machine(g: Graph, certificate) -> list[str]:
 
 
 def _run_recognize(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    from .recognizer import recognize
+
     g = _load_graph(args.graph)
     delta = min_degree(g)
     if delta != 2:
@@ -264,6 +257,9 @@ def _condition_lines(
 
 
 def _run_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    from .characterization import check_certificate_conditions, partition_matching
+    from .recognizer import check_degree_two_certificate
+
     g = _load_graph(args.graph)
     edges = _load_matching_edges(g, args.matching)
     delta = min_degree(g)
@@ -305,6 +301,16 @@ def _run_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _run_generate(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    from .generators import (
+        cycle,
+        high_degree_extremal,
+        path,
+        random_tight_graph,
+        spider,
+        subdivided_grid,
+        triangle_book,
+    )
+
     family = args.family
     params = args.params
     if args.seed is not None and family != "family-f":
@@ -380,7 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--max-vertices",
                 type=int,
                 default=None,
-                help="solver vertex limit (default 24; env DOMATCH_MAX_VERTICES)",
+                help=f"solver vertex limit (default {DEFAULT_MAX_VERTICES};"
+                f" env {MAX_VERTICES_ENV})",
             )
         p.add_argument("--machine", action="store_true", help="stable key/value output")
         p.set_defaults(run=run)

@@ -6,6 +6,7 @@ import pytest
 from domatch import Graph, parse_edge_list, serialize_edge_list
 from domatch.cli import MAX_VERTICES_ENV, main
 from domatch.generators import cycle, spider, subdivided_grid
+from domatch.oracles import DEFAULT_MAX_VERTICES
 
 import helpers
 
@@ -317,6 +318,12 @@ def test_vertex_limit_resolution(tmp_path, capsys, monkeypatch):
     assert "is not an integer" in capsys.readouterr().err
 
 
+def test_max_vertices_help_names_the_default(capsys):
+    assert main(["gamma-t", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {DEFAULT_MAX_VERTICES}; env {MAX_VERTICES_ENV})" in help_text
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -331,6 +338,51 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("gamma_t = 2")
+
+
+# ---------------------------------------------------------------------------
+# modules each subcommand loads
+
+#: Prints the domatch modules loaded after running ``main`` on its arguments.
+LOADED_MODULES = (
+    "import contextlib, io, sys\n"
+    "from domatch.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    main(sys.argv[1:])\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('domatch')))\n"
+)
+CORE_MODULES = ["domatch", "domatch.cli", "domatch.errors", "domatch.graph", "domatch.oracles"]
+CERTIFICATE_MODULES = sorted(CORE_MODULES + ["domatch.characterization", "domatch.recognizer"])
+
+
+def loaded_modules(code, argv=()):
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+    )
+    return proc.stdout.split()
+
+
+def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path):
+    c6 = write_graph(tmp_path, cycle(6), "c6.txt")
+    spider2 = write_graph(tmp_path, spider(2), "spider2.txt")
+    legs = write_text(tmp_path, "x1 y1\nx2 y2\n", "legs.txt")
+    expected = [
+        (["gamma-t", c6, "--machine"], CORE_MODULES),
+        (["mu-star", c6], CORE_MODULES),
+        (["bounds", c6], CORE_MODULES),
+        (["--help"], CORE_MODULES),
+        (["generate", "family-f", "--seed", "3"], sorted(CORE_MODULES + ["domatch.generators"])),
+        (["generate", "cycle", "5"], sorted(CORE_MODULES + ["domatch.generators"])),
+        (["recognize", c6, "--machine"], CERTIFICATE_MODULES),
+        (["verify", spider2, legs], CERTIFICATE_MODULES),
+    ]
+    for argv, modules in expected:
+        assert loaded_modules(LOADED_MODULES, argv) == modules, argv
+
+
+def test_bare_import_loads_no_submodule():
+    code = "import sys, domatch\nprint(*sorted(m for m in sys.modules if m.startswith('domatch')))"
+    assert loaded_modules(code) == ["domatch"]
 
 
 # ---------------------------------------------------------------------------
