@@ -53,7 +53,6 @@ _EXPORTS = {
         "Graph",
         "SupportClassification",
         "connected_components",
-        "degree_two_vertices",
         "girth",
         "induced_subgraph",
         "is_connected",

@@ -4,7 +4,10 @@ support classification, induced subgraphs and small-family detection.
 
 Vertices are dense integer ids ``0..n-1``.  Optional per-vertex labels are
 kept only for round-tripping named input; every algorithm works on ids.
-Graphs are immutable, so instances are safe to share between threads.
+Graphs are immutable, so instances are safe to share between threads.  The
+sorted edge tuple and the label index are built on first use and cached;
+two threads may both build one, but they build equal values and either
+assignment is fine.
 """
 
 from __future__ import annotations
@@ -103,14 +106,11 @@ class Graph:
     def _build(self, adjacency: list[set[int]], labels: tuple[str, ...]) -> None:
         # The one place a Graph is finished.  ``adjacency`` must be
         # symmetric and loop-free over ids 0..n-1 and ``labels`` already
-        # checked; edges come out sorted by walking each u over its larger
-        # neighbours in order.
+        # checked.  The edge tuple is left to :meth:`edges`, since the
+        # recognizer and most queries read only the adjacency.
         self._adjacency: tuple[frozenset[int], ...] = tuple(map(frozenset, adjacency))
-        pairs = [(u, v) for u, near in enumerate(adjacency) for v in sorted(near) if v > u]
-        # The pairs are canonical already; tuple.__new__ skips the
-        # Python-level constructor of the named tuple and halves the cost.
-        self._edges: tuple[Edge, ...] = tuple(map(tuple.__new__, repeat(Edge), pairs))
         self._labels: tuple[str, ...] = labels
+        self._edges: tuple[Edge, ...] | None = None
         self._label_index: dict[str, int] | None = None
 
     @classmethod
@@ -126,13 +126,21 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adjacency)) // 2
 
     def vertices(self) -> range:
         return range(len(self._adjacency))
 
     def edges(self) -> tuple[Edge, ...]:
         """All edges, sorted canonically."""
+        if self._edges is None:
+            # Walking each u over its larger neighbours in order yields the
+            # pairs sorted and canonical; tuple.__new__ skips the
+            # Python-level constructor of the named tuple and halves the cost.
+            pairs = [
+                (u, v) for u, near in enumerate(self._adjacency) for v in sorted(near) if v > u
+            ]
+            self._edges = tuple(map(tuple.__new__, repeat(Edge), pairs))
         return self._edges
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -243,7 +251,7 @@ def serialize_edge_list(g: Graph) -> str:
     """
     labels = g._labels
     lines = [" ".join([_HEADER_TOKEN, *labels])]
-    lines += [f"{labels[u]} {labels[v]}" for u, v in g._edges]
+    lines += [f"{labels[u]} {labels[v]}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
 
 
@@ -252,11 +260,6 @@ def min_degree(g: Graph) -> int:
     if g.vertex_count == 0:
         raise DomainError("empty graph has no minimum degree")
     return min(map(len, g._adjacency))
-
-
-def degree_two_vertices(g: Graph) -> frozenset[int]:
-    """Vertices of degree exactly two."""
-    return frozenset(v for v in g.vertices() if g.degree(v) == 2)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from domatch import (
     Edge,
     Graph,
     Matching,
-    degree_two_vertices,
     girth,
     induced_subgraph,
     is_connected,
@@ -133,6 +132,11 @@ def edge_domination_check(g: Graph, m: Matching) -> bool:
 def girth_bound_check(g: Graph) -> bool:
     """True iff the girth is at most six, as for every recognized leafless graph."""
     return girth(g) <= 6
+
+
+def degree_two_vertices(g: Graph) -> frozenset[int]:
+    """Vertices of degree exactly two."""
+    return frozenset(v for v in g.vertices() if g.degree(v) == 2)
 
 
 def pairwise_candidate_matching(g: Graph) -> tuple[Edge, ...]:

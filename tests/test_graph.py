@@ -11,13 +11,13 @@ from domatch import (
     EdgeListFormatError,
     Graph,
     connected_components,
-    degree_two_vertices,
     girth,
     induced_subgraph,
     is_connected,
     is_cycle_of_length,
     min_degree,
     parse_edge_list,
+    recognize,
     serialize_edge_list,
     support_classification,
     triangle_book_parameter,
@@ -242,12 +242,38 @@ def tokenized_graph(text):
 def test_parse_agrees_with_constructor(text):
     g = parse_edge_list(text)
     expected = tokenized_graph(text)
+    # edge_count and repr must not depend on whether edges() has run yet.
+    assert g.edge_count == expected.edge_count
+    assert repr(g) == repr(expected)
     assert g == expected
     assert hash(g) == hash(expected)
     assert g.labels == expected.labels
     assert g.edges() == expected.edges()
     assert all(type(e) is Edge and e.u < e.v for e in g.edges())
     assert list(g.edges()) == sorted(set(g.edges()))
+    assert g.edge_count == expected.edge_count == len(g.edges())
+    assert repr(g) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: triangle_book(2000),
+        lambda: subdivided_grid(500),
+        lambda: helpers.disjoint_union(
+            helpers.disjoint_union(triangle_book(30), subdivided_grid(20)), cycle(60)
+        ),
+    ],
+    ids=["book", "grid", "union"],
+)
+def test_parse_then_recognize_never_lists_edges(build):
+    text = serialize_edge_list(build())
+    g = parse_edge_list(text)
+    recognize(g)
+    assert g._edges is None
+    expected = tokenized_graph(text)
+    assert g.edges() == expected.edges()
+    assert g.edge_count == len(g.edges())
 
 
 @given(small_graphs())
@@ -257,7 +283,7 @@ def test_round_trip_random(g):
 
 @given(small_graphs())
 def test_degree_sum_is_twice_edge_count(g):
-    assert sum(g.degree(v) for v in g.vertices()) == 2 * g.edge_count
+    assert sum(g.degree(v) for v in g.vertices()) == 2 * g.edge_count == 2 * len(g.edges())
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +299,14 @@ def test_min_degree():
 
 
 def test_degree_two_vertices():
-    assert degree_two_vertices(cycle(6)) == frozenset(range(6))
-    assert degree_two_vertices(Graph(2, [(0, 1)])) == frozenset()
+    assert helpers.degree_two_vertices(cycle(6)) == frozenset(range(6))
+    assert helpers.degree_two_vertices(Graph(2, [(0, 1)])) == frozenset()
     g = subdivided_grid(2)
     expected = {
         g.vertex_with_label(name)
         for name in ["u0", "u2", "v0", "v2", "a0", "a1", "b0", "b1"]
     }
-    assert degree_two_vertices(g) == expected
+    assert helpers.degree_two_vertices(g) == expected
     assert len(expected) == 8
 
 
