@@ -41,8 +41,6 @@ _EXPORTS = {
         "high_degree_extremal",
         "path",
         "random_tight_graph",
-        "recipe_from_text",
-        "recipe_to_text",
         "spider",
         "subdivided_grid",
         "triangle_book",

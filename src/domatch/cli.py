@@ -52,7 +52,17 @@ if TYPE_CHECKING:
 #: Environment variable overriding the solver vertex limit.
 MAX_VERTICES_ENV = "DOMATCH_MAX_VERTICES"
 
-_FAMILIES = ("spider", "subdivided-grid", "k-family", "cycle", "path", "prop2", "family-f")
+#: ``generate`` families, in help order: name → (builder in
+#: :mod:`domatch.generators`, parameter count).  ``family-f`` takes ``--seed``.
+_FAMILIES = {
+    "spider": ("spider", 1),
+    "subdivided-grid": ("subdivided_grid", 1),
+    "k-family": ("triangle_book", 1),
+    "cycle": ("cycle", 1),
+    "path": ("path", 1),
+    "prop2": ("high_degree_extremal", 2),
+    "family-f": ("random_tight_graph", 0),
+}
 
 
 def _read_text(path: str) -> str:
@@ -106,13 +116,10 @@ def _machine_header(argv: Sequence[str], g: Graph) -> list[str]:
     lines = ["command: " + " ".join(argv)]
     lines.append(f"vertices: {g.vertex_count}")
     lines.append(f"edges: {g.edge_count}")
-    if g.vertex_count:
-        lines.append(f"min_degree: {min_degree(g)}")
-        gi = girth(g)
-        lines.append("girth: infinite" if gi == INFINITE_GIRTH else f"girth: {gi}")
-    else:
-        lines.append("min_degree: undefined")
-        lines.append("girth: infinite")
+    # Every handler has refused the empty graph by now, so min_degree is defined.
+    lines.append(f"min_degree: {min_degree(g)}")
+    gi = girth(g)
+    lines.append("girth: infinite" if gi == INFINITE_GIRTH else f"girth: {gi}")
     return lines
 
 
@@ -162,38 +169,30 @@ def _run_bounds(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return _emit(lines, 0 if report.holds else 1, machine=args.machine)
 
 
-def _certificate_human(g: Graph, certificate) -> str:
+def _certificate_lines(g: Graph, certificate) -> tuple[str, list[str]]:
+    """Human line and machine lines for one component's certificate."""
     from .recognizer import CertifyingMatching, ExceptionalBook, ExceptionalSixCycle, Refutation
 
     if isinstance(certificate, ExceptionalBook):
         pages = certificate.pages
-        return f"yes - triangle book ({pages} page{'s' if pages != 1 else ''})"
+        return (
+            f"yes - triangle book ({pages} page{'s' if pages != 1 else ''})",
+            ["certificate: triangle-book", f"book_pages: {pages}"],
+        )
     if isinstance(certificate, ExceptionalSixCycle):
-        return "yes - six-cycle"
+        return "yes - six-cycle", ["certificate: six-cycle"]
     if isinstance(certificate, CertifyingMatching):
-        edges = ", ".join(_edge_label(g, e) for e in certificate.matching)
-        return f"yes - certifying matching: {edges}"
-    assert isinstance(certificate, Refutation)
-    return f"no - {certificate.reason}: {certificate.detail}"
-
-
-def _certificate_machine(g: Graph, certificate) -> list[str]:
-    from .recognizer import CertifyingMatching, ExceptionalBook, ExceptionalSixCycle, Refutation
-
-    if isinstance(certificate, ExceptionalBook):
-        return ["certificate: triangle-book", f"book_pages: {certificate.pages}"]
-    if isinstance(certificate, ExceptionalSixCycle):
-        return ["certificate: six-cycle"]
-    if isinstance(certificate, CertifyingMatching):
-        return ["certificate: certifying-matching"] + [
-            f"certificate_edge: {_edge_label(g, e)}" for e in certificate.matching
-        ]
+        edges = [_edge_label(g, e) for e in certificate.matching]
+        return (
+            "yes - certifying matching: " + ", ".join(edges),
+            ["certificate: certifying-matching"] + [f"certificate_edge: {e}" for e in edges],
+        )
     assert isinstance(certificate, Refutation)
     lines = ["certificate: refutation", f"refutation_reason: {certificate.reason}"]
     lines += [f"refutation_vertex: {g.label(v)}" for v in certificate.vertices]
     if certificate.detail:
         lines.append(f"refutation_detail: {certificate.detail}")
-    return lines
+    return f"no - {certificate.reason}: {certificate.detail}", lines
 
 
 def _run_recognize(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -217,14 +216,14 @@ def _run_recognize(args: argparse.Namespace, argv: Sequence[str]) -> int:
             return 2
     lines = _machine_header(argv, g) if args.machine else []
     for index, component in enumerate(outcome.components, start=1):
+        human, machine = _certificate_lines(g, component.certificate)
         if args.machine:
             lines.append(f"component: {index}")
             lines.append(f"component_verdict: {'yes' if component.verdict else 'no'}")
-            lines += _certificate_machine(g, component.certificate)
+            lines += machine
         else:
             size = len(component.vertices)
-            lines.append(f"component {index} ({size} vertices): "
-                         + _certificate_human(g, component.certificate))
+            lines.append(f"component {index} ({size} vertices): {human}")
     lines.append(f"verdict: {'yes' if outcome.verdict else 'no'}")
     if args.oracle:
         lines.append("oracle: agrees")
@@ -301,55 +300,26 @@ def _run_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _run_generate(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    from .generators import (
-        cycle,
-        high_degree_extremal,
-        path,
-        random_tight_graph,
-        spider,
-        subdivided_grid,
-        triangle_book,
-    )
+    from . import generators
 
     family = args.family
     params = args.params
     if args.seed is not None and family != "family-f":
         raise DomainError("--seed only applies to family-f")
-
-    def need(count: int) -> None:
-        if len(params) != count:
-            raise DomainError(
-                f"family {family!r} takes exactly {count} parameter(s), got {len(params)}"
-            )
-
-    comments = ""
-    if family == "spider":
-        need(1)
-        g = spider(params[0])
-    elif family == "subdivided-grid":
-        need(1)
-        g = subdivided_grid(params[0])
-    elif family == "k-family":
-        need(1)
-        g = triangle_book(params[0])
-    elif family == "cycle":
-        need(1)
-        g = cycle(params[0])
-    elif family == "path":
-        need(1)
-        g = path(params[0])
-    elif family == "prop2":
-        need(2)
-        g = high_degree_extremal(params[0], params[1])
-    else:
-        need(0)
-        if args.seed is None:
-            raise DomainError("family-f requires --seed")
-        g, matching = random_tight_graph(args.seed)
-        comments = "# certifying matching:\n" + "".join(
-            f"# {_edge_label(g, e)}\n" for e in matching
+    builder, count = _FAMILIES[family]
+    if len(params) != count:
+        raise DomainError(
+            f"family {family!r} takes exactly {count} parameter(s), got {len(params)}"
         )
-    sys.stdout.write(comments + serialize_edge_list(g))
+    build = getattr(generators, builder)
+    if family != "family-f":
+        sys.stdout.write(serialize_edge_list(build(*params)))
+        return 0
+    if args.seed is None:
+        raise DomainError("family-f requires --seed")
+    g, matching = build(args.seed)
+    comments = "".join(f"# {_edge_label(g, e)}\n" for e in matching)
+    sys.stdout.write("# certifying matching:\n" + comments + serialize_edge_list(g))
     return 0
 
 

@@ -367,89 +367,3 @@ def random_tight_graph(
         f"no recipe fit {params.max_vertices} vertices within 1000 draws"
     )
 
-
-_RECIPE_KEYS = (
-    "k2_count",
-    "a_count",
-    "marked",
-    "a_edges",
-    "leaf_edges",
-    "extra_edges",
-    "pendant_counts",
-)
-
-
-def recipe_to_text(recipe: TightRecipe) -> str:
-    """Serialize a recipe to reviewable key/value lines."""
-    lines = [
-        f"k2_count: {recipe.k2_count}",
-        f"a_count: {recipe.a_count}",
-        "marked: " + " ".join(str(v) for v in recipe.marked),
-        "a_edges: " + " ".join(",".join(str(v) for v in g) for g in recipe.a_edges),
-        "leaf_edges: " + " ".join(f"{v}-{a}" for v, a in recipe.leaf_edges),
-        "extra_edges: " + " ".join(f"{u}-{v}" for u, v in recipe.extra_edges),
-        "pendant_counts: " + " ".join(f"{v}:{c}" for v, c in recipe.pendant_counts),
-    ]
-    return "\n".join(line.rstrip() for line in lines) + "\n"
-
-
-def _parse_int(token: str, line_no: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise DomainError(f"line {line_no}: expected an integer, got {token!r}") from None
-
-
-def _parse_pair(token: str, sep: str, line_no: int) -> tuple[int, int]:
-    left, found, right = token.partition(sep)
-    if not found:
-        raise DomainError(f"line {line_no}: expected '{sep}'-separated pair, got {token!r}")
-    return _parse_int(left, line_no), _parse_int(right, line_no)
-
-
-def recipe_from_text(text: str) -> TightRecipe:
-    """Parse the key/value format written by :func:`recipe_to_text`.
-
-    Blank lines and '#' comments are ignored; both counts are required,
-    collection keys default to empty; unknown or repeated keys are errors.
-    """
-    seen: dict[str, tuple[str, int]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, found, value = line.partition(":")
-        key = key.strip()
-        if not found:
-            raise DomainError(f"line {line_no}: expected 'key: value', got {line!r}")
-        if key not in _RECIPE_KEYS:
-            raise DomainError(f"line {line_no}: unknown key {key!r}")
-        if key in seen:
-            raise DomainError(f"line {line_no}: repeated key {key!r}")
-        seen[key] = (value.strip(), line_no)
-    for required in ("k2_count", "a_count"):
-        if required not in seen:
-            raise DomainError(f"missing required key {required!r}")
-
-    def tokens(key: str) -> tuple[list[str], int]:
-        value, line_no = seen.get(key, ("", 0))
-        return (value.split() if value else []), line_no
-
-    k2_value, k2_line = seen["k2_count"]
-    a_value, a_line = seen["a_count"]
-    marked_tokens, marked_line = tokens("marked")
-    group_tokens, group_line = tokens("a_edges")
-    leaf_tokens, leaf_line = tokens("leaf_edges")
-    extra_tokens, extra_line = tokens("extra_edges")
-    pendant_tokens, pendant_line = tokens("pendant_counts")
-    return TightRecipe(
-        k2_count=_parse_int(k2_value, k2_line),
-        a_count=_parse_int(a_value, a_line),
-        marked=tuple(_parse_int(t, marked_line) for t in marked_tokens),
-        a_edges=tuple(
-            tuple(_parse_int(v, group_line) for v in t.split(",")) for t in group_tokens
-        ),
-        leaf_edges=tuple(_parse_pair(t, "-", leaf_line) for t in leaf_tokens),
-        extra_edges=tuple(_parse_pair(t, "-", extra_line) for t in extra_tokens),
-        pendant_counts=tuple(_parse_pair(t, ":", pendant_line) for t in pendant_tokens),
-    )

@@ -357,9 +357,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
     for v in chosen:
         g._check_vertex(v)
     back = {orig: new for new, orig in enumerate(chosen)}
-    edges = [
-        (back[e.u], back[e.v]) for e in g.edges() if e.u in back and e.v in back
-    ]
+    # Read only the chosen vertices' adjacency: the cost must not grow with
+    # the rest of ``g``, since the solvers call this once per component.
+    edges = [(back[u], back[v]) for u in chosen for v in g._adjacency[u] if v > u and v in back]
     labels = [g._labels[v] for v in chosen]
     return InducedSubgraph(Graph(len(chosen), edges, labels=labels), tuple(chosen))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .graph import Edge, Graph, connected_components, induced_subgraph, min_degree
@@ -191,10 +191,22 @@ def is_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bool:
     return _covered_if_matching(g, edges) is not None
 
 
+def _extending_edge(
+    adjacency: Sequence[frozenset[int]], vertices: Sequence[int], covered: AbstractSet[int]
+) -> Edge | None:
+    """Least edge among sorted ``vertices`` with neither end in ``covered``."""
+    for u in vertices:
+        if u not in covered:
+            free = [v for v in adjacency[u] if v > u and v not in covered]
+            if free:
+                return Edge(u, min(free))
+    return None
+
+
 def is_maximal_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bool:
     """True iff ``edges`` form a matching no edge of ``g`` can extend."""
     covered = _covered_if_matching(g, edges)
-    return covered is not None and all(e.u in covered or e.v in covered for e in g.edges())
+    return covered is not None and _extending_edge(g._adjacency, g.vertices(), covered) is None
 
 
 def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:

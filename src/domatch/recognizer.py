@@ -49,7 +49,7 @@ from .graph import (
     min_degree,
     triangle_book_parameter,
 )
-from .oracles import Matching, _validated_edges
+from .oracles import Matching, _extending_edge, _validated_edges
 
 #: Refutation reason codes, stable CLI vocabulary.
 REASON_NOT_MATCHING = "m-not-matching"
@@ -181,18 +181,6 @@ def build_candidate_matching(g: Graph) -> tuple[Edge, ...]:
         raise DomainError("the six-cycle is excluded from the candidate scan")
     adjacency = g._adjacency
     return _candidate_edges(adjacency, g.vertices(), _pinned_pairs(adjacency, g.vertices()))
-
-
-def _extending_edge(
-    adjacency: Sequence[frozenset[int]], vertices: Sequence[int], covered: frozenset[int]
-) -> Edge | None:
-    """Least edge among sorted ``vertices`` with neither end in ``covered``."""
-    for u in vertices:
-        if u not in covered:
-            free = [v for v in adjacency[u] if v > u and v not in covered]
-            if free:
-                return Edge(u, min(free))
-    return None
 
 
 #: Condition identifiers of the degree-two checker, in report order.

@@ -1,10 +1,11 @@
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
 from domatch import Graph, parse_edge_list, serialize_edge_list
-from domatch.cli import MAX_VERTICES_ENV, main
+from domatch.cli import _FAMILIES, MAX_VERTICES_ENV, main
 from domatch.generators import cycle, spider, subdivided_grid
 from domatch.oracles import DEFAULT_MAX_VERTICES
 
@@ -253,6 +254,27 @@ def test_generate_rejects_misuse(capsys):
     assert main(["generate", "nosuch", "1"]) == 2
 
 
+#: sha256 of ``generate`` stdout for one parameter set per family.
+GENERATE_SHA256 = {
+    "spider": (["2"], "19e0bd08a7d0ca50460f8c0f5e321c9f58c144a11d57c5a01e908c4a6c78162e"),
+    "subdivided-grid": (["2"], "c9fdc920031f173486692defbe19d4f31bf9079dee54c4faf7631217d5e61f84"),
+    "k-family": (["3"], "92624e6832e6f03a47ca86fe803f8eb53fb728cad6a7c2115b922f2f9de0866b"),
+    "cycle": (["5"], "33084a259cf180f24dd1f4bacd29a18d31a5fe0aa0dedd117dbf14b4adff9dfe"),
+    "path": (["4"], "d41d0500cd7d559c8fa48e9f946f3e24ef7feb308cbda265b865406b77749a17"),
+    "prop2": (["2", "3"], "f6ecbd4f3fdc28f2f45e2c87e51ec5e9d8e7a432f5e6fd4b81b4b50e536fddda"),
+    "family-f": (["--seed", "7"], "8e0ce49302fe199f221aeb680bd4284de2f88cc9a80333d40dcb90c20c14b9b1"),
+}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_generate_output_golden(capsys, family):
+    args, expected = GENERATE_SHA256[family]
+    assert main(["generate", family, *args]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == expected
+
+
 # ---------------------------------------------------------------------------
 # machine mode
 
@@ -272,6 +294,18 @@ def test_machine_output_is_stable(tmp_path, capsys):
     assert "girth: infinite" in lines
     assert "gamma_t: 4" in lines
     assert lines[-1] == "exit: 0"
+
+
+@pytest.mark.parametrize("command", ["gamma-t", "mu-star", "bounds", "recognize", "verify"])
+def test_machine_mode_refuses_the_empty_graph(tmp_path, capsys, command):
+    # Every handler refuses the empty graph before it prints the machine header.
+    argv = [command, write_text(tmp_path, "", "empty.txt")]
+    if command == "verify":
+        argv.append(write_text(tmp_path, "", "m.txt"))
+    assert main(argv + ["--machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_machine_recognize_six_cycle(tmp_path, capsys):

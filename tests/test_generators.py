@@ -18,8 +18,6 @@ from domatch import (
     min_degree,
     minimum_maximal_matching,
     random_tight_graph,
-    recipe_from_text,
-    recipe_to_text,
     recognize,
     total_domination_number,
 )
@@ -290,52 +288,3 @@ def test_random_tight_graph_rejects_bad_params():
         random_tight_graph(1, TightGraphParams(extra_edge_probability=-0.1))
     with pytest.raises(DomainError, match="vertex budget"):
         random_tight_graph(1, TightGraphParams(max_vertices=3))
-
-
-# ---------------------------------------------------------------------------
-# recipe text format
-
-
-def test_recipe_text_round_trip():
-    recipes = [
-        TightRecipe(1),
-        TightRecipe(1, marked=(0, 1), pendant_counts=((0, 1), (1, 1))),
-        TightRecipe(3, 1, a_edges=((0, 2, 4),)),
-        TightRecipe(
-            4,
-            3,
-            marked=(0, 3, 4),
-            a_edges=((0, 2), (2, 4, 6), (5, 7)),
-            leaf_edges=((3, 8),),
-            extra_edges=((1, 5),),
-            pendant_counts=((0, 1), (3, 2), (4, 1)),
-        ),
-    ]
-    for recipe in recipes:
-        assert recipe_from_text(recipe_to_text(recipe)) == recipe
-
-
-def test_recipe_text_tolerates_comments_and_blanks():
-    text = """
-    # a triangle
-    k2_count: 1
-
-    a_count: 1
-    a_edges: 0,1
-    """
-    assert recipe_from_text(text) == TightRecipe(1, 1, a_edges=((0, 1),))
-
-
-def test_recipe_text_rejects_malformed_input():
-    with pytest.raises(DomainError, match="line 1: unknown key"):
-        recipe_from_text("bogus: 1\nk2_count: 1\na_count: 0\n")
-    with pytest.raises(DomainError, match="line 2: repeated key"):
-        recipe_from_text("k2_count: 1\nk2_count: 2\na_count: 0\n")
-    with pytest.raises(DomainError, match="missing required key 'a_count'"):
-        recipe_from_text("k2_count: 1\n")
-    with pytest.raises(DomainError, match="expected an integer"):
-        recipe_from_text("k2_count: one\na_count: 0\n")
-    with pytest.raises(DomainError, match="expected 'key: value'"):
-        recipe_from_text("k2_count 1\na_count: 0\n")
-    with pytest.raises(DomainError, match="'-'-separated pair"):
-        recipe_from_text("k2_count: 2\na_count: 1\na_edges: 0,2\nleaf_edges: 3\n")

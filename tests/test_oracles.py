@@ -302,6 +302,21 @@ def test_component_witness_is_global_optimum():
     assert tuple(sorted(td.witness)) == helpers.brute_total_domination(union)[1]
 
 
+def test_solvers_never_list_the_input_edges():
+    # Components are solved on subgraphs built from adjacency, and maximality
+    # is read from adjacency too, so the input's edge tuple is never built.
+    union = helpers.disjoint_union(helpers.disjoint_union(cycle(6), cycle(4)), path(4))
+    perfect = [(2 * i, 2 * i + 1) for i in range(7)]
+    assert union._edges is None
+    total_domination_number(union)
+    minimum_maximal_matching(union)
+    is_tight_graph(union)
+    check_matching_bound(union)
+    assert is_maximal_matching(union, perfect)
+    assert not is_maximal_matching(union, perfect[:-1])
+    assert union._edges is None
+
+
 def test_mu_star_requires_an_edge():
     with pytest.raises(DomainError, match="no edges: mu_star undefined"):
         minimum_maximal_matching(Graph(3))
