@@ -5,18 +5,20 @@ number with twice the minimum maximal matching number is witnessed by a
 single maximal matching satisfying four local conditions.  This module
 splits a matching by the support status of edge endpoints, evaluates the
 four conditions with explicit violation witnesses, enumerates maximal
-matchings and searches them for a certificate, and builds the small total
+matchings, searches for a certificate, and builds the small total
 dominating set that a maximal matching yields when the minimum degree is
 three or more.
 
 Each checker is one stream of :class:`Violation` objects in report order;
-a condition holds when no violation names it.  A certificate is a minimum
-maximal matching, so the certificate search takes only those from the
-size-by-size search of :mod:`domatch.oracles`; it classifies supports once
-per graph and rejects a matching at its first violation.  Conditions
-(iii)/(iv) are local checks over a vertex pool.  Without leaves that pool
-is the set of matched vertices, and the same checks are the recognizer's
-degree-two conditions (i)/(ii); both run one engine here.
+a condition holds when no violation names it.  A certificate M forces
+γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so every certificate of a graph has the same
+size and the search never computes μ*: it picks edges in ascending index
+order over all sizes, and conditions (i)–(iii) decide while it picks
+which edges may be taken and which vertices must stay unmatched.  Each
+maximal matching it reaches gets the full check.  Conditions (iii)/(iv)
+are local checks over a vertex pool.  Without leaves that pool is the set
+of matched vertices, and the same checks are the recognizer's degree-two
+conditions (i)/(ii); both run one engine here.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .graph import (
     Edge,
     Graph,
@@ -34,8 +36,8 @@ from .graph import (
 )
 from .oracles import Matching, _maximal_matchings, _validated_edges, is_maximal_matching
 
-#: Node budget shared by all sizes of one maximal-matching enumeration or
-#: certificate search.
+#: Node budget of one maximal-matching enumeration, shared by all its
+#: sizes, and of one certificate search.
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
 #: Condition identifiers, in report order.
@@ -245,6 +247,31 @@ def _certificate_violations(
     yield from _local_violations(adjacency, pinned, m, pool, "iii", "iv")
 
 
+def _require_low_degree(g: Graph) -> None:
+    delta = min_degree(g)
+    if delta not in (1, 2):
+        raise DomainError(f"minimum degree {delta} is outside {{1, 2}}")
+
+
+def _certificate_evidence(
+    g: Graph, m: Matching
+) -> tuple[MatchingPartition, ConditionReport] | None:
+    """The partition of ``m`` and its four-condition report, or None when
+    ``m`` is not a maximal matching of ``g``.
+
+    Edges and maximality are checked once and supports classified once;
+    the caller has checked the minimum degree.
+    """
+    if not is_maximal_matching(g, m.edges):
+        return None
+    adjacency = g._adjacency
+    support = support_classification(g)
+    violations = _certificate_violations(
+        adjacency, support, _pinned_pairs(adjacency, g.vertices()), m
+    )
+    return _partition(m, support), _report(CONDITION_IDS, violations)
+
+
 def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
     """Evaluate the four certificate conditions for a maximal matching.
 
@@ -263,16 +290,11 @@ def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
     Together these force the matching to be minimum and the total
     domination number to equal twice its size.
     """
-    delta = min_degree(g)
-    if delta not in (1, 2):
-        raise DomainError(f"minimum degree {delta} is outside {{1, 2}}")
-    if not is_maximal_matching(g, m.edges):
+    _require_low_degree(g)
+    evidence = _certificate_evidence(g, m)
+    if evidence is None:
         raise DomainError("matching is not maximal")
-    adjacency = g._adjacency
-    violations = _certificate_violations(
-        adjacency, support_classification(g), _pinned_pairs(adjacency, g.vertices()), m
-    )
-    return _report(CONDITION_IDS, violations)
+    return evidence[1]
 
 
 def iter_maximal_matchings(
@@ -281,21 +303,13 @@ def iter_maximal_matchings(
     """Yield every maximal matching of ``g`` exactly once.
 
     Matchings arrive by size, smallest first, and within one size in
-    ascending lexicographic order of their sorted edge-index tuples.  The
-    sizes of the maximal matchings of a graph form an interval, so the
-    enumeration ends at the first empty size after a nonempty one.  Search
+    ascending lexicographic order of their sorted edge-index tuples.  Search
     effort over all sizes is metered; crossing ``budget`` nodes raises
     :class:`~domatch.errors.ResourceLimitError`.
     """
     edges = g.edges()
-    count = 0
-    for matchings in _maximal_matchings(g, [0], budget):
-        before = count
-        for chosen in matchings:
-            count += 1
-            yield Matching(edges[i] for i in chosen)
-        if before and count == before:
-            return
+    for chosen, _ in _maximal_matchings(g, budget):
+        yield Matching(edges[i] for i in chosen)
 
 
 def find_certifying_matching(
@@ -303,32 +317,105 @@ def find_certifying_matching(
 ) -> CertifyingMatchingResult | None:
     """First maximal matching satisfying all four certificate conditions.
 
-    A certificate forces γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so only the minimum
-    maximal matchings are tried, in the order of
-    :func:`iter_maximal_matchings`; the result is deterministic, and each
-    matching is dropped at its first violation.  Returns None once that
-    size is exhausted, which for connected graphs of minimum degree one or
-    two means γ_t < 2μ*.  Crossing ``budget`` search nodes raises
+    A certificate forces γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so all certificates have
+    size μ*, and the first one in lexicographic order of sorted edge-index
+    tuples is the first in the order of :func:`iter_maximal_matchings`; the
+    result is deterministic.  One depth-first search picks edges in
+    ascending index order over all sizes, pruned by the conditions:
+
+    - (i)/(ii) allow an edge only if both ends are supports, one end is in
+      ``S⁻`` or no end is a support; every other edge must be dominated
+      but is never picked;
+    - (iii): once a vertex of ``S⁻`` or an end of a no-support edge is
+      matched, its other neighbors must stay unmatched ("blocked"), so a
+      pick touching a blocked vertex is cut, and so is one whose ``S⁻`` or
+      no-support ends already see a matched vertex;
+    - every undominated edge needs a later allowed pick touching no matched
+      or blocked vertex, so the next pick is at most the smallest of their
+      largest such killers, and an edge with none ends the branch.
+
+    A maximal matching reached that covers every support vertex gets the
+    full check, and the first to pass is returned.  None means the pruned
+    search was exhausted: no maximal matching meets the conditions, which
+    for connected graphs of minimum degree one or two means γ_t < 2μ*.
+    Crossing ``budget`` search nodes raises
     :class:`~domatch.errors.ResourceLimitError`.
     """
-    delta = min_degree(g)
-    if delta not in (1, 2):
-        raise DomainError(f"minimum degree {delta} is outside {{1, 2}}")
+    _require_low_degree(g)
     adjacency = g._adjacency
     support = support_classification(g)
     pinned = _pinned_pairs(adjacency, g.vertices())
+    sup, s_minus = support.sup, support.s_minus
     edges = g.edges()
-    for matchings in _maximal_matchings(g, [0], budget):
-        found = False
-        for chosen in matchings:
-            found = True
-            matching = Matching(edges[i] for i in chosen)
-            if next(_certificate_violations(adjacency, support, pinned, matching), None) is None:
-                return CertifyingMatchingResult(
-                    matching, _partition(matching, support), _report(CONDITION_IDS, ())
-                )
-        if found:
-            break
+    incident = [0] * g.vertex_count
+    for i, e in enumerate(edges):
+        incident[e.u] |= 1 << i
+        incident[e.v] |= 1 << i
+    # per edge: edges sharing an endpoint (itself included), and its ends
+    kill = [incident[e.u] | incident[e.v] for e in edges]
+    ends = [(1 << e.u) | (1 << e.v) for e in edges]
+    # per allowed edge: the edges a pick rules out (those touching its ends
+    # or a vertex it blocks), and the vertices that must not be matched
+    # already (the neighbors of its S⁻ and no-support ends)
+    allowed = 0
+    shut = kill[:]
+    near = [0] * len(edges)
+    for i, (u, v) in enumerate(edges):
+        if u in sup and v in sup:
+            pool: tuple[int, ...] = ()
+        elif u in s_minus or v in s_minus:
+            pool = (u,) if u in s_minus else (v,)
+        elif u in sup or v in sup:
+            continue  # one end in S⁺ and one outside the support breaks (ii)
+        else:
+            pool = (u, v)
+        allowed |= 1 << i
+        for p in pool:
+            for w in adjacency[p]:
+                shut[i] |= incident[w]
+                near[i] |= 1 << w
+    supports = sum(1 << v for v in sup)
+
+    nodes = 0
+    # (next allowed index, undominated edges, live edges, matched vertices,
+    # picks so far); a live edge is allowed and touches no matched or
+    # blocked vertex.  Children are pushed largest first so they pop in
+    # ascending order.
+    stack = [(0, (1 << len(edges)) - 1, allowed, 0, ())]
+    while stack:
+        start, undominated, live, matched, chosen = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimitError(f"certificate search exceeded {budget} nodes")
+        if not undominated:
+            if supports & ~matched == 0:
+                matching = Matching(edges[i] for i in chosen)
+                violations = _certificate_violations(adjacency, support, pinned, matching)
+                if next(violations, None) is None:
+                    return CertifyingMatchingResult(
+                        matching, _partition(matching, support), _report(CONDITION_IDS, ())
+                    )
+            continue
+        later = live >> start << start
+        cap = len(edges)
+        rest = undominated
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            killers = kill[low.bit_length() - 1] & later
+            if not killers:
+                break
+            top = killers.bit_length() - 1
+            if top < cap:
+                cap = top
+        else:
+            candidates = later & ((2 << cap) - 1)
+            while candidates:
+                i = candidates.bit_length() - 1
+                candidates ^= 1 << i
+                if not near[i] & matched:
+                    child = (undominated & ~kill[i], live & ~shut[i], matched | ends[i])
+                    stack.append((i + 1, *child, chosen + (i,)))
     return None
 
 

@@ -40,7 +40,6 @@ from .oracles import (
     Matching,
     check_matching_bound,
     is_matching,
-    is_maximal_matching,
     is_tight_graph,
     minimum_maximal_matching,
     total_domination_number,
@@ -256,7 +255,7 @@ def _condition_lines(
 
 
 def _run_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    from .characterization import check_certificate_conditions, partition_matching
+    from .characterization import _certificate_evidence
     from .recognizer import check_degree_two_certificate
 
     g = _load_graph(args.graph)
@@ -279,11 +278,10 @@ def _run_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
         if delta == 2:
             report = check_degree_two_certificate(g, m)
         else:
-            maximal = is_maximal_matching(g, m.edges)
-            lines.append(_condition_line("maximal", maximal, machine=machine))
-            if maximal:
-                partition = partition_matching(g, m)
-                report = check_certificate_conditions(g, m)
+            evidence = _certificate_evidence(g, m)
+            lines.append(_condition_line("maximal", evidence is not None, machine=machine))
+            if evidence is not None:
+                partition, report = evidence
                 for name, part in vars(partition).items():  # field names are output keys
                     if machine:
                         lines += [f"{name}_edge: {_edge_label(g, e)}" for e in part]

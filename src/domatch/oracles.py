@@ -11,7 +11,9 @@ not bounded by the recursion limit, and prune with a cap on the next pick
 and a packing bound found in one pass over what is still undominated (the
 domination solver tries an O(1) count bound first).  The cuts lose no
 solution, so witnesses are those of the unpruned search.  μ* is the first
-hit of :func:`_maximal_matchings`, the package's one maximal-matching search.
+hit of :func:`_maximal_matchings`, which also lists every maximal matching
+for :func:`~domatch.characterization.iter_maximal_matchings`; the
+certificate search prunes by the certificate conditions and needs no μ*.
 
 Intended for desk-scale instances.  A hard vertex limit (default
 :data:`DEFAULT_MAX_VERTICES`) turns oversized inputs into a loud
@@ -275,12 +277,15 @@ def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:
 
 
 def _maximal_matchings(
-    g: Graph, nodes: list[int], budget: int | None = None
-) -> Iterator[Iterator[tuple[int, ...]]]:
-    """For each size k, from the whole graph's packing bound up to the edge
-    count, a generator of the maximal matchings of ``g`` with exactly k
-    edges, as sorted tuples of indices into ``g.edges()``, in lexicographic
-    order.
+    g: Graph, budget: int | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The maximal matchings of ``g`` as sorted tuples of indices into
+    ``g.edges()``, each with the number of search nodes explored so far.
+
+    Sizes are tried from the whole graph's packing bound up, and within one
+    size matchings come in lexicographic order.  The sizes of the maximal
+    matchings of a graph form an interval, so the search ends at the first
+    empty size after a nonempty one.
 
     An edge set is maximal exactly when no edge has both endpoints
     uncovered ("undominated"); those edges are the branching candidates.
@@ -289,9 +294,8 @@ def _maximal_matchings(
     undominated edges, and at most one of a set whose kill sets, restricted
     to undominated edges of allowed index, are pairwise disjoint; greedy
     sets of either kind too large for the free slots prune.  Neither cut
-    loses a matching.  Each node explored adds one to ``nodes[0]``, a
-    running total over all sizes, and crossing ``budget`` raises
-    :class:`~domatch.errors.ResourceLimitError`.
+    loses a matching.  Crossing ``budget`` nodes, counted over all sizes,
+    raises :class:`~domatch.errors.ResourceLimitError`.
     """
     edges = g.edges()
     m = len(edges)
@@ -331,18 +335,22 @@ def _maximal_matchings(
                     break
         return cap, max(packed, -(-disjoint // 2))
 
-    def sized(size: int) -> Iterator[tuple[int, ...]]:
+    nodes = 0
+    found = False
+    for size in range(bounds(0, full, m)[1], m + 1):
+        hit = False
         # (next allowed index, undominated edges, free slots, picks so far);
         # children are pushed largest first so they pop in ascending order
         stack = [(0, full, size, ())]
         while stack:
             start, undominated, slots, chosen = stack.pop()
-            nodes[0] += 1
-            if budget is not None and nodes[0] > budget:
+            nodes += 1
+            if budget is not None and nodes > budget:
                 raise ResourceLimitError(f"maximal matching enumeration exceeded {budget} nodes")
             if slots == 0:
                 if undominated == 0:
-                    yield chosen
+                    hit = True
+                    yield chosen, nodes
                 continue
             cap, need = bounds(start, undominated, slots)
             if cap < start or need > slots:
@@ -352,20 +360,17 @@ def _maximal_matchings(
                 i = candidates.bit_length() - 1
                 candidates ^= 1 << i
                 stack.append((i + 1, undominated & ~kill[i], slots - 1, chosen + (i,)))
-
-    for size in range(bounds(0, full, m)[1], m + 1):
-        yield sized(size)
+        if found and not hit:
+            return
+        found = hit
 
 
 def _solve_minimum_maximal_matching(g: Graph) -> tuple[int, tuple[Edge, ...], int]:
     """Smallest maximal matching: the first hit of :func:`_maximal_matchings`
     over growing sizes, hence the lexicographically least optimum."""
     edges = g.edges()
-    nodes = [0]
-    for matchings in _maximal_matchings(g, nodes):
-        for chosen in matchings:
-            return len(chosen), tuple(edges[i] for i in chosen), nodes[0]
-    raise AssertionError("unreachable: greedy extension yields a maximal matching")
+    chosen, nodes = next(_maximal_matchings(g))
+    return len(chosen), tuple(edges[i] for i in chosen), nodes
 
 
 def total_domination_number(g: Graph, *, max_vertices: int | None = None) -> SolverResult:

@@ -2,8 +2,10 @@
 
 Brute-force reference implementations here stay as close to the definitions
 as possible and share no code with the package's search routines, so the two
-sides can disagree when either is wrong.  The random samplers are seeded by
-their callers and exist to feed the equivalence suites.
+sides can disagree when either is wrong; the one exception,
+:func:`minimum_certifying_matching`, says what it shares and why.  The
+random samplers are seeded by their callers and exist to feed the
+equivalence suites.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ from domatch import (
     induced_subgraph,
     is_connected,
     is_cycle_of_length,
+    iter_maximal_matchings,
     min_degree,
+    support_classification,
 )
+from domatch.characterization import _certificate_violations, _pinned_pairs
 
 # ---------------------------------------------------------------------------
 # brute-force references
@@ -111,6 +116,30 @@ def include_exclude_maximal_matchings(g: Graph) -> Iterator[Matching]:
         stack.append((i + 1, undominated, chosen))
         if undominated >> i & 1:
             stack.append((i + 1, undominated & ~kill[i], chosen + (i,)))
+
+
+def minimum_certifying_matching(g: Graph) -> Matching | None:
+    """First minimum maximal matching that meets the four certificate
+    conditions, in the (size, lexicographic) order of the enumeration.
+
+    A certificate M forces γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so only the matchings
+    of size μ* are walked, each dropped at its first violation.  It runs
+    on the package's enumerator and violation stream, which have tests of
+    their own, so comparing it with ``find_certifying_matching`` checks
+    the pruning of that search alone.
+    """
+    adjacency = g._adjacency
+    support = support_classification(g)
+    pinned = _pinned_pairs(adjacency, g.vertices())
+    mu_star = None
+    for m in iter_maximal_matchings(g):
+        if mu_star is None:
+            mu_star = len(m)
+        elif len(m) > mu_star:
+            break
+        if next(_certificate_violations(adjacency, support, pinned, m), None) is None:
+            return m
+    return None
 
 
 def edge_domination_check(g: Graph, m: Matching) -> bool:

@@ -263,10 +263,10 @@ def test_find_rejects_wrong_minimum_degree():
 
 
 def test_find_returns_first_hit_of_enumeration():
-    # The search tries only minimum maximal matchings and stops each at its
-    # first violation; its hit, report and partition must still be those of
-    # a scan of every maximal matching, in include/exclude order, with the
-    # public checkers.
+    # The search prunes by the certificate conditions and checks each
+    # matching it reaches only up to its first violation; its hit, report
+    # and partition must still be those of a scan of every maximal matching,
+    # in include/exclude order, with the public checkers.
     graphs = [subdivided_grid(2)]
     graphs += [g for n in range(2, 8) for g in connected_catalog(n) if min_degree(g) in (1, 2)]
     hits = 0
@@ -287,6 +287,25 @@ def test_find_returns_first_hit_of_enumeration():
             assert found.report == check_certificate_conditions(g, found.matching)
             assert found.partition == partition_matching(g, found.matching)
     assert (len(graphs), hits) == (823, 52)
+
+
+def test_find_equals_walk_over_minimum_maximal_matchings():
+    # Every certificate has size μ*, so the pruned search over all sizes
+    # must return the first certificate among the minimum maximal
+    # matchings, or None with that walk, on every connected graph of at
+    # most 8 vertices with minimum degree one or two.
+    graphs = [g for n in range(2, 9) for g in connected_catalog(n) if min_degree(g) in (1, 2)]
+    hits = 0
+    for g in graphs:
+        found = find_certifying_matching(g)
+        expected = helpers.minimum_certifying_matching(g)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            hits += 1
+            assert found.matching == expected
+            assert found.partition == partition_matching(g, expected)
+            assert found.report == check_certificate_conditions(g, expected)
+    assert (len(graphs), hits) == (9350, 178)
 
 
 def test_find_agrees_with_oracle_on_small_catalog():
@@ -319,9 +338,9 @@ def with_extra_edge(g, seed):
 
 def test_find_certifies_relabelled_tight_graphs_within_node_ceilings():
     # Relabelling moves the embedded certificate far back in the order of a
-    # full enumeration; a search over all sizes then passes 10**6 nodes.  The
-    # budgets are node ceilings (measured: 27, 52, 70 and 195 nodes on the
-    # tight graphs, 282, 72, 691 and 153 on the variants).
+    # full enumeration; an unpruned search over all sizes then passes 10**6
+    # nodes.  The budgets are node ceilings (measured: 22, 23, 19 and 33
+    # nodes on the tight graphs, 15, 37, 23 and 33 on the variants).
     cases = [(1, TightGraphParams(max_k2=20, max_a=8, mark_probability=0.35, max_vertices=64))]
     cases += [
         (seed, TightGraphParams(max_k2=30, max_a=10, mark_probability=0.35, max_vertices=96))
@@ -330,16 +349,43 @@ def test_find_certifies_relabelled_tight_graphs_within_node_ceilings():
     sizes = []
     for seed, params in cases:
         g = relabelled_tight_graph(seed, params)
-        found = find_certifying_matching(g, budget=500)
+        found = find_certifying_matching(g, budget=100)
         assert found is not None
         assert check_certificate_conditions(g, found.matching).holds
         variant = with_extra_edge(g, seed)
-        found_variant = find_certifying_matching(variant, budget=2_000)
+        found_variant = find_certifying_matching(variant, budget=100)
         for h, result in ((g, found), (variant, found_variant)):
             if h.vertex_count <= 40:
                 assert (result is not None) == is_tight_graph(h, max_vertices=40)
         sizes.append(g.vertex_count)
     assert sizes == [26, 38, 39, 81]
+
+
+BASELINE_PARAMS = TightGraphParams(max_k2=170, max_a=64, mark_probability=0.35, max_vertices=512)
+
+
+@pytest.mark.parametrize(
+    "seed, vertices, tight_budget, variant_budget",
+    # measured: 1,877, 1,349 and 115 nodes on the tight graphs, 3,240, 1,456
+    # and 518 on the variants
+    [(0, 360, 2_000, 3_500), (1, 307, 1_500, 1_600), (2, 107, 150, 600)],
+)
+def test_find_certifies_hundreds_of_vertices_within_node_ceilings(
+    seed, vertices, tight_budget, variant_budget
+):
+    # A search that proves μ* before it checks a candidate needs 1,194,911
+    # nodes on the 360-vertex graph, more than the default budget.
+    g = relabelled_tight_graph(seed, BASELINE_PARAMS)
+    assert g.vertex_count == vertices
+    found = find_certifying_matching(g, budget=tight_budget)
+    assert found is not None
+    assert check_certificate_conditions(g, found.matching).holds
+    assert find_certifying_matching(with_extra_edge(g, seed), budget=variant_budget) is None
+
+
+def test_find_refutes_long_path_within_node_ceiling():
+    # measured: 134 nodes
+    assert find_certifying_matching(path(200), budget=150) is None
 
 
 def test_find_budget_propagates():

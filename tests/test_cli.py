@@ -186,6 +186,30 @@ def test_verify_flags_non_maximal(tmp_path, capsys):
     assert "verdict: certificate fails" in out
 
 
+def test_verify_checks_maximality_and_classifies_supports_once(tmp_path, capsys, monkeypatch):
+    import domatch.characterization as characterization
+    import domatch.cli as cli
+
+    calls = {"is_maximal_matching": 0, "support_classification": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cli, characterization):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    graph = write_graph(tmp_path, spider(2))
+    matching = write_text(tmp_path, "x1 y1\nx2 y2\n", "m.txt")
+    assert main(["verify", graph, matching, "--machine"]) == 0
+    assert "verdict: holds" in capsys.readouterr().out
+    assert calls == {"is_maximal_matching": 1, "support_classification": 1}
+
+
 def test_verify_flags_endpoint_overlap(tmp_path, capsys):
     graph = write_graph(tmp_path, subdivided_grid(2))
     matching = write_text(tmp_path, "u0 v0\nv0 b0\n", "m.txt")
