@@ -34,7 +34,13 @@ from .graph import (
     min_degree,
     support_classification,
 )
-from .oracles import Matching, _maximal_matchings, _validated_edges, is_maximal_matching
+from .oracles import (
+    Matching,
+    _edge_masks,
+    _maximal_matchings,
+    _validated_edges,
+    is_maximal_matching,
+)
 
 #: Node budget of one maximal-matching enumeration, shared by all its
 #: sizes, and of one certificate search.
@@ -247,10 +253,12 @@ def _certificate_violations(
     yield from _local_violations(adjacency, pinned, m, pool, "iii", "iv")
 
 
-def _require_low_degree(g: Graph) -> None:
+def _require_low_degree(g: Graph) -> int:
+    """The minimum degree of ``g``, which must be one or two."""
     delta = min_degree(g)
     if delta not in (1, 2):
         raise DomainError(f"minimum degree {delta} is outside {{1, 2}}")
+    return delta
 
 
 def _certificate_evidence(
@@ -346,14 +354,7 @@ def find_certifying_matching(
     support = support_classification(g)
     pinned = _pinned_pairs(adjacency, g.vertices())
     sup, s_minus = support.sup, support.s_minus
-    edges = g.edges()
-    incident = [0] * g.vertex_count
-    for i, e in enumerate(edges):
-        incident[e.u] |= 1 << i
-        incident[e.v] |= 1 << i
-    # per edge: edges sharing an endpoint (itself included), and its ends
-    kill = [incident[e.u] | incident[e.v] for e in edges]
-    ends = [(1 << e.u) | (1 << e.v) for e in edges]
+    edges, incident, kill, ends = _edge_masks(g)
     # per allowed edge: the edges a pick rules out (those touching its ends
     # or a vertex it blocks), and the vertices that must not be matched
     # already (the neighbors of its S⁻ and no-support ends)

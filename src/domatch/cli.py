@@ -39,7 +39,6 @@ from .oracles import (
     DEFAULT_MAX_VERTICES,
     Matching,
     check_matching_bound,
-    is_matching,
     is_tight_graph,
     minimum_maximal_matching,
     total_domination_number,
@@ -89,8 +88,10 @@ def _load_matching_edges(g: Graph, path: str) -> list[Edge]:
             raise EdgeListFormatError(
                 f"line {line_no}: expected two labels, got {len(tokens)}"
             )
-        u = g.vertex_with_label(tokens[0])
-        v = g.vertex_with_label(tokens[1])
+        try:
+            u, v = map(g.vertex_with_label, tokens)
+        except DomainError as error:
+            raise DomainError(f"line {line_no}: {error}") from None
         if not g.has_edge(u, v):
             raise DomainError(
                 f"line {line_no}: {tokens[0]}-{tokens[1]} is not an edge of the graph"
@@ -255,26 +256,25 @@ def _condition_lines(
 
 
 def _run_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    from .characterization import _certificate_evidence
+    from .characterization import _certificate_evidence, _require_low_degree
     from .recognizer import check_degree_two_certificate
 
     g = _load_graph(args.graph)
     edges = _load_matching_edges(g, args.matching)
-    delta = min_degree(g)
-    if delta not in (1, 2):
-        raise DomainError(f"minimum degree {delta} is outside {{1, 2}}")
+    delta = _require_low_degree(g)
     machine = args.machine
     lines = _machine_header(argv, g) if machine else []
     if machine:
         lines += [f"matching_edge: {_edge_label(g, e)}" for e in sorted(set(edges))]
 
     report: ConditionReport | None = None
-    if not is_matching(g, edges):
+    try:
+        m = Matching(edges)
+    except DomainError:
         lines.append("matching: no" if machine else "matching: no (edges share an endpoint)")
     else:
         if machine:
             lines.append("matching: yes")
-        m = Matching(edges)
         if delta == 2:
             report = check_degree_two_certificate(g, m)
         else:

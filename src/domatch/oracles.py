@@ -6,14 +6,17 @@ maximal matching number, the predicates behind them, and the degree-aware
 upper-bound report.  All searches are deterministic; witnesses are the
 lexicographically least optima under sorted vertex and edge order.
 
-Both searches deepen the solution size on an explicit stack, so depth is
-not bounded by the recursion limit, and prune with a cap on the next pick
-and a packing bound found in one pass over what is still undominated (the
-domination solver tries an O(1) count bound first).  The cuts lose no
-solution, so witnesses are those of the unpruned search.  μ* is the first
-hit of :func:`_maximal_matchings`, which also lists every maximal matching
-for :func:`~domatch.characterization.iter_maximal_matchings`; the
-certificate search prunes by the certificate conditions and needs no μ*.
+One driver, :func:`_deepening_search`, runs both searches: it deepens the
+solution size, picks in ascending order on an explicit stack (so depth is
+not bounded by the recursion limit) and counts nodes.  Each solver brings
+only its masks, open neighborhoods for γ_t and edge kill sets for μ*, and
+its bound: one pass over what is still undominated that caps the next pick
+and counts a greedy packing (the domination solver tries an O(1) count
+bound first).  The cuts lose no solution, so witnesses are those of the
+unpruned search.  μ* is the first hit of :func:`_maximal_matchings`, which
+also lists every maximal matching for
+:func:`~domatch.characterization.iter_maximal_matchings`; the certificate
+search prunes by the certificate conditions and needs no μ*.
 
 Intended for desk-scale instances.  A hard vertex limit (default
 :data:`DEFAULT_MAX_VERTICES`) turns oversized inputs into a loud
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .graph import Edge, Graph, connected_components, induced_subgraph, min_degree
@@ -211,30 +214,79 @@ def is_maximal_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bo
     return covered is not None and _extending_edge(g._adjacency, g.vertices(), covered) is None
 
 
-def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:
-    """Smallest total dominating set of a graph without isolated vertices.
+def _deepening_search(
+    cover: Sequence[int],
+    reusable: int,
+    bounds: Callable[[int, int, int], tuple[int, int]],
+    first: int,
+    budget: int | None = None,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each sorted tuple of picks whose ``cover`` masks together cover
+    ``range(len(cover))``, with the search nodes explored so far.
 
-    Iterative deepening on the solution size; within one size the subsets
-    are explored in lexicographic order, so the first hit is the
-    lexicographically least optimal witness.  Picks only grow, so the next
-    one is at most the smallest largest-neighbor of an undominated vertex
-    (a cap below the first allowed id leaves a vertex undominatable).
-    Undominated vertices whose neighborhoods within the allowed ids are
-    pairwise disjoint each need a pick of their own, so a greedy packing
-    of them larger than the free slots prunes.  The O(1) count bound (a
-    pick dominates at most ``max_cover`` vertices) is tried before that
-    walk.  On the whole graph the larger bound is the first size tried.
-    Neither cut loses a solution, so the witness is that of the unpruned
-    search.
+    Sizes run from ``first`` to the first empty size after a nonempty one;
+    within a size, picks come in lexicographic order off an explicit stack.
+    Above its last pick a node may pick an undominated element or one of
+    ``reusable``, and with ``slots`` free none above ``len(cover) - slots``.
+    ``bounds(allowed, undominated, slots)`` caps the next pick and counts
+    the picks still needed; a cap below the first allowed pick, or a need
+    above the free slots, cuts the branch.  Crossing ``budget`` nodes, over
+    all sizes, raises :class:`~domatch.errors.ResourceLimitError`.
     """
-    n = g.vertex_count
+    n = len(cover)
+    keep = [~c for c in cover]
+    nodes = 0
+    found = False
+    for size in range(first, n + 1):
+        hit = False
+        # (next allowed pick, undominated elements, free slots, picks so far);
+        # children are pushed largest first so they pop in ascending order
+        stack = [(0, (1 << n) - 1, size, ())]
+        pop, push = stack.pop, stack.append
+        while stack:
+            start, undominated, slots, picks = pop()
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise ResourceLimitError(f"maximal matching enumeration exceeded {budget} nodes")
+            if slots == 0:
+                if undominated == 0:
+                    hit = True
+                    yield picks, nodes
+                continue
+            allowed = (undominated | reusable) >> start << start
+            cap, need = bounds(allowed, undominated, slots)
+            if cap > n - slots:
+                cap = n - slots
+            if cap < start or need > slots:
+                continue
+            children = allowed & ((2 << cap) - 1)
+            slots -= 1
+            while children:
+                i = children.bit_length() - 1
+                children ^= 1 << i
+                push((i + 1, undominated & keep[i], slots, picks + (i,)))
+        if found and not hit:
+            return
+        found = hit
+
+
+def _solve_total_domination(g: Graph) -> tuple[tuple[int, ...], int]:
+    """Lexicographically least smallest total dominating set of a graph
+    without isolated vertices, and the search nodes it took.
+
+    Any vertex may be picked, and dominates its open neighborhood.  The
+    next pick is at most the smallest largest neighbor of an undominated
+    vertex.  Undominated vertices with pairwise disjoint neighborhoods
+    among the allowed ids need a pick each; the O(1) count bound (a pick
+    dominates at most ``max_cover`` vertices) is tried before that greedy
+    packing, and on the whole graph the larger bound is the first size.
+    """
     nbr = [sum(1 << w for w in g.neighbors(v)) for v in g.vertices()]
-    full = (1 << n) - 1
+    n = len(nbr)
     max_dominator = [m.bit_length() - 1 for m in nbr]
     max_cover = max(m.bit_count() for m in nbr)
-    nodes = 0
 
-    def bounds(start: int, undominated: int, slots: int) -> tuple[int, int]:
+    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int]:
         # (cap on the next pick, picks still needed), stopping once need > slots
         cap = n - 1
         least = -(-undominated.bit_count() // max_cover)
@@ -242,7 +294,6 @@ def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:
             return cap, least
         need = 0
         used = 0
-        allowed = full >> start << start
         while undominated:
             low = undominated & -undominated
             u = low.bit_length() - 1
@@ -257,64 +308,48 @@ def _solve_total_domination(g: Graph) -> tuple[int, tuple[int, ...], int]:
                     break
         return cap, max(need, least)
 
-    for k in range(max(1, bounds(0, full, n)[1]), n + 1):
-        # (next allowed id, dominated vertices, free slots, picks so far);
-        # children are pushed largest first so they pop in ascending order
-        stack = [(0, 0, k, ())]
-        while stack:
-            start, dominated, slots, chosen = stack.pop()
-            nodes += 1
-            if slots == 0:
-                if dominated == full:
-                    return k, chosen, nodes
-                continue
-            cap, need = bounds(start, full & ~dominated, slots)
-            if cap < start or need > slots:
-                continue
-            for v in range(min(cap, n - slots), start - 1, -1):
-                stack.append((v + 1, dominated | nbr[v], slots - 1, chosen + (v,)))
-    raise AssertionError("unreachable: the full vertex set is total dominating")
+    full = (1 << n) - 1
+    return next(_deepening_search(nbr, full, bounds, max(1, bounds(full, full, n)[1])))
+
+
+def _edge_masks(g: Graph) -> tuple[tuple[Edge, ...], list[int], list[int], list[int]]:
+    """``g.edges()`` with bit masks over their indices: the edges at each
+    vertex, the edges sharing an endpoint with each edge (itself included),
+    and each edge's two endpoints as a vertex mask."""
+    edges = g.edges()
+    incident = [0] * g.vertex_count
+    for i, e in enumerate(edges):
+        incident[e.u] |= 1 << i
+        incident[e.v] |= 1 << i
+    kill = [incident[e.u] | incident[e.v] for e in edges]
+    ends = [(1 << e.u) | (1 << e.v) for e in edges]
+    return edges, incident, kill, ends
 
 
 def _maximal_matchings(
     g: Graph, budget: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The maximal matchings of ``g`` as sorted tuples of indices into
-    ``g.edges()``, each with the number of search nodes explored so far.
+    """The maximal matchings of ``g``, smallest first, as sorted tuples of
+    indices into ``g.edges()``, each with the search nodes explored so far.
+    Their sizes form an interval, so the search may stop at an empty size.
 
-    Sizes are tried from the whole graph's packing bound up, and within one
-    size matchings come in lexicographic order.  The sizes of the maximal
-    matchings of a graph form an interval, so the search ends at the first
-    empty size after a nonempty one.
-
-    An edge set is maximal exactly when no edge has both endpoints
-    uncovered ("undominated"); those edges are the branching candidates.
-    The next pick is at most the smallest ``max_killer`` of an undominated
-    edge.  A pick settles at most two of a set of vertex-disjoint
-    undominated edges, and at most one of a set whose kill sets, restricted
-    to undominated edges of allowed index, are pairwise disjoint; greedy
-    sets of either kind too large for the free slots prune.  Neither cut
-    loses a matching.  Crossing ``budget`` nodes, counted over all sizes,
-    raises :class:`~domatch.errors.ResourceLimitError`.
+    A maximal edge set leaves no edge with both ends uncovered
+    ("undominated").  Only undominated edges are picked, and a pick
+    dominates the edges it kills, so picks stay a matching.  The next pick
+    is at most the smallest ``max_killer`` of an undominated edge.  A pick
+    settles at most two of a set of vertex-disjoint undominated edges, and
+    at most one of a set whose kill sets within the allowed edges are
+    pairwise disjoint; the larger greedy count is the picks still needed.
     """
-    edges = g.edges()
-    m = len(edges)
-    incident = [0] * g.vertex_count
-    for i, e in enumerate(edges):
-        incident[e.u] |= 1 << i
-        incident[e.v] |= 1 << i
-    # per edge: edges sharing an endpoint (itself included), their top index
-    kill = [incident[e.u] | incident[e.v] for e in edges]
+    _, _, kill, ends = _edge_masks(g)
+    m = len(kill)
     max_killer = [k.bit_length() - 1 for k in kill]
-    vmask = [(1 << e.u) | (1 << e.v) for e in edges]
-    full = (1 << m) - 1
 
-    def bounds(start: int, undominated: int, slots: int) -> tuple[int, int]:
+    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int]:
         # (cap on the next pick, picks still needed), stopping once need > slots
         cap = m - 1
         disjoint = packed = 0
         covered = killed = 0
-        allowed = undominated >> start << start
         limit = 2 * slots
         while undominated:
             low = undominated & -undominated
@@ -322,8 +357,8 @@ def _maximal_matchings(
             undominated ^= low
             if max_killer[i] < cap:
                 cap = max_killer[i]
-            if vmask[i] & covered == 0:
-                covered |= vmask[i]
+            if ends[i] & covered == 0:
+                covered |= ends[i]
                 disjoint += 1
                 if disjoint > limit:
                     break
@@ -335,42 +370,8 @@ def _maximal_matchings(
                     break
         return cap, max(packed, -(-disjoint // 2))
 
-    nodes = 0
-    found = False
-    for size in range(bounds(0, full, m)[1], m + 1):
-        hit = False
-        # (next allowed index, undominated edges, free slots, picks so far);
-        # children are pushed largest first so they pop in ascending order
-        stack = [(0, full, size, ())]
-        while stack:
-            start, undominated, slots, chosen = stack.pop()
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise ResourceLimitError(f"maximal matching enumeration exceeded {budget} nodes")
-            if slots == 0:
-                if undominated == 0:
-                    hit = True
-                    yield chosen, nodes
-                continue
-            cap, need = bounds(start, undominated, slots)
-            if cap < start or need > slots:
-                continue
-            candidates = (undominated & ((2 << cap) - 1)) >> start << start
-            while candidates:
-                i = candidates.bit_length() - 1
-                candidates ^= 1 << i
-                stack.append((i + 1, undominated & ~kill[i], slots - 1, chosen + (i,)))
-        if found and not hit:
-            return
-        found = hit
-
-
-def _solve_minimum_maximal_matching(g: Graph) -> tuple[int, tuple[Edge, ...], int]:
-    """Smallest maximal matching: the first hit of :func:`_maximal_matchings`
-    over growing sizes, hence the lexicographically least optimum."""
-    edges = g.edges()
-    chosen, nodes = next(_maximal_matchings(g))
-    return len(chosen), tuple(edges[i] for i in chosen), nodes
+    full = (1 << m) - 1
+    return _deepening_search(kill, 0, bounds, bounds(full, full, m)[1], budget)
 
 
 def total_domination_number(g: Graph, *, max_vertices: int | None = None) -> SolverResult:
@@ -387,8 +388,8 @@ def total_domination_number(g: Graph, *, max_vertices: int | None = None) -> Sol
     nodes = 0
     for component in connected_components(g):
         sub, original = induced_subgraph(g, component)
-        size, local, explored = _solve_total_domination(sub)
-        value += size
+        local, explored = _solve_total_domination(sub)
+        value += len(local)
         witness.update(original[v] for v in local)
         nodes += explored
     return SolverResult(value, frozenset(witness), SearchStats(nodes, perf_counter() - started))
@@ -411,9 +412,11 @@ def minimum_maximal_matching(g: Graph, *, max_vertices: int | None = None) -> So
         if len(component) == 1:
             continue
         sub, original = induced_subgraph(g, component)
-        size, local, explored = _solve_minimum_maximal_matching(sub)
-        value += size
-        picked.extend(Edge.of(original[e.u], original[e.v]) for e in local)
+        # the first maximal matching found is the lexicographically least optimum
+        local, explored = next(_maximal_matchings(sub))
+        value += len(local)
+        edges = sub.edges()
+        picked.extend(Edge.of(original[edges[i].u], original[edges[i].v]) for i in local)
         nodes += explored
     return SolverResult(value, Matching(picked), SearchStats(nodes, perf_counter() - started))
 
@@ -422,19 +425,14 @@ def is_tight_graph(g: Graph, *, max_vertices: int | None = None) -> bool:
     """Brute-force test: total domination number equals twice the minimum
     maximal matching number.
 
-    Both quantities add up over connected components, and the domination
-    number never exceeds the doubled matching number on a component, so the
-    equality is checked component by component with early exit.
+    The vertices of a maximal matching totally dominate each component, so
+    γ_t ≤ 2μ* component by component, and the sums are equal exactly when
+    every component is tight.
     """
-    _require_no_isolated(g)
-    _check_size(g, max_vertices)
-    for component in connected_components(g):
-        sub, _ = induced_subgraph(g, component)
-        gamma_t, _, _ = _solve_total_domination(sub)
-        mu_star, _, _ = _solve_minimum_maximal_matching(sub)
-        if gamma_t != 2 * mu_star:
-            return False
-    return True
+    return (
+        total_domination_number(g, max_vertices=max_vertices).value
+        == 2 * minimum_maximal_matching(g, max_vertices=max_vertices).value
+    )
 
 
 def check_matching_bound(g: Graph, *, max_vertices: int | None = None) -> BoundReport:

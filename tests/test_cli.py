@@ -176,6 +176,14 @@ def test_verify_rejects_non_edge(tmp_path, capsys):
     assert "is not an edge of the graph" in capsys.readouterr().err
 
 
+def test_verify_names_the_line_of_an_unknown_label(tmp_path, capsys):
+    graph = write_graph(tmp_path, spider(2))
+    matching = write_text(tmp_path, "x1 y1\nx2 nope\n", "m.txt")
+    rc = main(["verify", graph, matching])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: line 2: unknown vertex label 'nope'\n"
+
+
 def test_verify_flags_non_maximal(tmp_path, capsys):
     graph = write_graph(tmp_path, spider(2))
     matching = write_text(tmp_path, "x1 y1\n", "m.txt")

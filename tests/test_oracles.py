@@ -203,6 +203,15 @@ def test_solver_node_ceilings():
     assert result.stats.nodes <= 1_000
 
 
+def test_solver_node_totals_on_the_small_catalog():
+    # Deterministic counters over the 995 connected graphs on 2..7 vertices.
+    # Dropping either solver's cap or packing bound makes its total grow.
+    graphs = [g for n in range(2, 8) for g in connected_catalog(n)]
+    assert len(graphs) == 995
+    assert sum(total_domination_number(g).stats.nodes for g in graphs) == 6_641
+    assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 14_955
+
+
 def test_solver_search_depth_is_not_bounded_by_recursion():
     # One search level per pick: 200 edges for cycle(600), 300 vertices for
     # path(600).  With the recursion limit 100 frames above the caller, a
