@@ -23,7 +23,6 @@ conditions (i)/(ii); both run one engine here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -50,8 +49,7 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 CONDITION_IDS = ("i", "ii", "iii", "iv")
 
 
-@dataclass(frozen=True)
-class MatchingPartition:
+class MatchingPartition(NamedTuple):
     """A maximal matching split by the support status of edge endpoints.
 
     ``m_plus`` holds the edges with both endpoints adjacent to a leaf,
@@ -63,8 +61,7 @@ class MatchingPartition:
     m_star: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One concrete witness against a certificate condition."""
 
     condition: str
@@ -73,8 +70,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Per-condition verdicts with a witness for every failure."""
 
     verdicts: Mapping[str, bool]

@@ -64,9 +64,10 @@ _FAMILIES = {
 
 
 def _read_text(path: str) -> str:
-    """Contents of a graph or matching file, which must be UTF-8 text."""
+    """Contents of a graph or matching file, which must be UTF-8 text; a
+    leading byte-order mark is dropped."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as error:
         raise EdgeListFormatError(f"{path} is not UTF-8 text: {error}") from None
@@ -282,7 +283,7 @@ def _run_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
             lines.append(_condition_line("maximal", evidence is not None, machine=machine))
             if evidence is not None:
                 partition, report = evidence
-                for name, part in vars(partition).items():  # field names are output keys
+                for name, part in partition._asdict().items():  # field names are output keys
                     if machine:
                         lines += [f"{name}_edge: {_edge_label(g, e)}" for e in part]
                     else:

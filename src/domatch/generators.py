@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .graph import Graph
@@ -301,8 +302,7 @@ def build_tight_graph(
     return graph, matching
 
 
-@dataclass(frozen=True)
-class TightGraphParams:
+class TightGraphParams(NamedTuple):
     """Bounds for the random recipe sampler."""
 
     max_k2: int = 4

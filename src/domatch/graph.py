@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -262,8 +261,7 @@ def min_degree(g: Graph) -> int:
     return min(map(len, g._adjacency))
 
 
-@dataclass(frozen=True)
-class SupportClassification:
+class SupportClassification(NamedTuple):
     """Support vertices split by adjacency among themselves.
 
     ``sup`` holds every vertex adjacent to a leaf, ``s_plus`` the supports
@@ -313,15 +311,30 @@ def is_connected(g: Graph) -> bool:
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or :data:`INFINITE_GIRTH` when acyclic.
 
-    Runs one breadth-first search per vertex; every non-tree edge closes a
-    walk of length ``dist[x] + dist[y] + 1`` that contains a cycle no longer
-    than that, and the minimum over all roots is exact.
+    Runs one breadth-first search per vertex.  An edge from x to a vertex y
+    found at x's depth or one deeper closes a walk of length ``dist[x] +
+    dist[y] + 1`` containing a cycle no longer than that (an edge up to a
+    non-parent was seen from its upper end).  After a root's search ``best``
+    is at most the shortest cycle through it, so the root is deleted, then
+    every vertex left with degree below two: such a vertex lies on no cycle.
     """
-    adjacency = g._adjacency
+    adjacency = [set(near) for near in g._adjacency]
+
+    def delete(stack: list[int]) -> None:
+        while stack:
+            x = stack.pop()
+            for y in adjacency[x]:
+                adjacency[y].discard(x)
+                if len(adjacency[y]) == 1:
+                    stack.append(y)
+            adjacency[x] = set()
+
+    delete([v for v in g.vertices() if len(adjacency[v]) < 2])
     best: int | float = INFINITE_GIRTH
     for root in g.vertices():
+        if not adjacency[root]:
+            continue
         dist = {root: 0}
-        parent = {root: -1}
         queue = deque([root])
         while queue:
             x = queue.popleft()
@@ -329,14 +342,13 @@ def girth(g: Graph) -> int | float:
             if 2 * dx >= best:
                 continue
             for y in adjacency[x]:
-                if y not in dist:
+                dy = dist.get(y)
+                if dy is None:
                     dist[y] = dx + 1
-                    parent[y] = x
                     queue.append(y)
-                elif parent[x] != y:
-                    candidate = dx + dist[y] + 1
-                    if candidate < best:
-                        best = candidate
+                elif dy >= dx and dx + dy + 1 < best:
+                    best = dx + dy + 1
+        delete([root])
     return best
 
 

@@ -25,9 +25,8 @@ Intended for desk-scale instances.  A hard vertex limit (default
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .graph import Edge, Graph, connected_components, induced_subgraph, min_degree
@@ -36,16 +35,14 @@ from .graph import Edge, Graph, connected_components, induced_subgraph, min_degr
 DEFAULT_MAX_VERTICES = 24
 
 
-class Matching(object):
-    """An immutable set of pairwise disjoint edges.
+class Matching(tuple):
+    """An immutable set of pairwise disjoint edges: the sorted tuple of them.
 
     Construction validates disjointness; use :func:`is_matching` to test
     arbitrary edge sets without raising.
     """
 
-    __slots__ = ("_edges", "_partner")
-
-    def __init__(self, edges: Iterable[Edge | tuple[int, int]]) -> None:
+    def __new__(cls, edges: Iterable[Edge | tuple[int, int]]) -> Matching:
         canonical = sorted({Edge.of(a, b) for a, b in edges})
         partner: dict[int, int] = {}
         for e in canonical:
@@ -53,12 +50,13 @@ class Matching(object):
                 raise DomainError(f"edges are not disjoint at {e}")
             partner[e.u] = e.v
             partner[e.v] = e.u
-        self._edges: tuple[Edge, ...] = tuple(canonical)
+        self = super().__new__(cls, canonical)
         self._partner = partner
+        return self
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return self._edges
+        return tuple(self)
 
     @property
     def covered(self) -> frozenset[int]:
@@ -75,30 +73,12 @@ class Matching(object):
     def covers(self, v: int) -> bool:
         return v in self._partner
 
-    def __len__(self) -> int:
-        return len(self._edges)
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self._edges)
-
-    def __contains__(self, e: object) -> bool:
-        return e in self._edges
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matching):
-            return NotImplemented
-        return self._edges == other._edges
-
-    def __hash__(self) -> int:
-        return hash(self._edges)
-
     def __repr__(self) -> str:
-        inner = ", ".join(f"{e.u}-{e.v}" for e in self._edges)
+        inner = ", ".join(f"{e.u}-{e.v}" for e in self)
         return f"Matching({inner})"
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Size of the search that produced a result.
 
     ``nodes`` is reproducible run to run; ``seconds`` is wall-clock time and
@@ -109,8 +89,7 @@ class SearchStats:
     seconds: float
 
 
-@dataclass(frozen=True)
-class SolverResult:
+class SolverResult(NamedTuple):
     """Optimum value plus one optimal witness and search statistics."""
 
     value: int
@@ -118,8 +97,7 @@ class SolverResult:
     stats: SearchStats
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """How the degree-aware matching upper bound relates to the optimum.
 
     For minimum degree at most two the bound is ``2 * mu_star``; for larger

@@ -28,8 +28,7 @@ public checker reports all of it, and a refutation is its first item, so
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .characterization import (
     ConditionReport,
@@ -62,28 +61,24 @@ REASON_CONDITION_II = "condition-ii-violated"
 REASON_MIN_DEGREE = "min-degree-above-two"
 
 
-@dataclass(frozen=True)
-class ExceptionalBook:
+class ExceptionalBook(NamedTuple):
     """Triangle book: ``pages`` triangles sharing one common edge."""
 
     pages: int
 
 
-@dataclass(frozen=True)
-class ExceptionalSixCycle:
+class ExceptionalSixCycle(NamedTuple):
     """The six-cycle, certified by shape alone."""
 
 
-@dataclass(frozen=True)
-class CertifyingMatching:
+class CertifyingMatching(NamedTuple):
     """Candidate matching that passed the degree-two conditions."""
 
     matching: Matching
     report: ConditionReport
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(NamedTuple):
     """Why a component fails, as the first unsatisfied check."""
 
     reason: str
@@ -94,8 +89,7 @@ class Refutation:
 Certificate = Union[ExceptionalBook, ExceptionalSixCycle, CertifyingMatching, Refutation]
 
 
-@dataclass(frozen=True)
-class ComponentOutcome:
+class ComponentOutcome(NamedTuple):
     """Verdict and certificate for one connected component."""
 
     vertices: tuple[int, ...]
@@ -103,12 +97,11 @@ class ComponentOutcome:
     certificate: Certificate
 
 
-@dataclass(frozen=True)
-class RecognitionOutcome:
+class RecognitionOutcome(NamedTuple):
     """Conjunction of per-component verdicts with their certificates."""
 
     verdict: bool
-    components: tuple[ComponentOutcome, ...] = field(default=())
+    components: tuple[ComponentOutcome, ...] = ()
 
     @property
     def certificates(self) -> tuple[Certificate, ...]:

@@ -83,6 +83,26 @@ def test_non_utf8_matching_file_is_a_format_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "is not UTF-8 text" in captured.err
 
 
+@pytest.mark.parametrize("text", ["a b\nb c\nc a\n", "vertices: a b c\na b\nb c\nc a\n"])
+def test_graph_file_with_byte_order_mark_reads_as_without(tmp_path, capsys, text):
+    path = tmp_path / "g.txt"
+    results = []
+    for data in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+        path.write_bytes(data)
+        rc = main(["gamma-t", str(path), "--machine"])
+        results.append((rc, capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and "vertices: 3\n" in results[0][1].out
+
+
+def test_matching_file_with_byte_order_mark_verifies(tmp_path, capsys):
+    graph = write_graph(tmp_path, spider(2))
+    matching = tmp_path / "m.txt"
+    matching.write_bytes(b"\xef\xbb\xbfx1 y1\nx2 y2\n")
+    assert main(["verify", graph, str(matching)]) == 0
+    assert "verdict: certificate holds" in capsys.readouterr().out
+
+
 def test_missing_graph_file(tmp_path, capsys):
     rc = main(["gamma-t", str(tmp_path / "nope.txt")])
     assert rc == 2
@@ -409,16 +429,21 @@ def test_module_entry_point(tmp_path):
 # ---------------------------------------------------------------------------
 # modules each subcommand loads
 
-#: Prints the domatch modules loaded after running ``main`` on its arguments.
+#: Prints the domatch modules loaded after running ``main`` on its arguments,
+#: and ``dataclasses`` when the run loaded it beyond what a bare child has.
 LOADED_MODULES = (
-    "import contextlib, io, sys\n"
+    "import sys\n"
+    "bare = set(sys.modules)\n"
+    "import contextlib, io\n"
     "from domatch.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    main(sys.argv[1:])\n"
-    "print(*sorted(m for m in sys.modules if m.startswith('domatch')))\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('domatch')\n"
+    "              or m == 'dataclasses' and m not in bare))\n"
 )
 CORE_MODULES = ["domatch", "domatch.cli", "domatch.errors", "domatch.graph", "domatch.oracles"]
 CERTIFICATE_MODULES = sorted(CORE_MODULES + ["domatch.characterization", "domatch.recognizer"])
+GENERATE_MODULES = sorted(CORE_MODULES + ["dataclasses", "domatch.generators"])
 
 
 def loaded_modules(code, argv=()):
@@ -437,8 +462,8 @@ def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path):
         (["mu-star", c6], CORE_MODULES),
         (["bounds", c6], CORE_MODULES),
         (["--help"], CORE_MODULES),
-        (["generate", "family-f", "--seed", "3"], sorted(CORE_MODULES + ["domatch.generators"])),
-        (["generate", "cycle", "5"], sorted(CORE_MODULES + ["domatch.generators"])),
+        (["generate", "family-f", "--seed", "3"], GENERATE_MODULES),
+        (["generate", "cycle", "5"], GENERATE_MODULES),
         (["recognize", c6, "--machine"], CERTIFICATE_MODULES),
         (["verify", spider2, legs], CERTIFICATE_MODULES),
     ]

@@ -416,6 +416,21 @@ def test_girth_matches_brute_force(g):
     assert girth(g) == helpers.brute_girth(g)
 
 
+def test_girth_is_linear_on_a_long_cycle(monkeypatch):
+    import domatch.graph as graph_module
+
+    pops = []
+
+    class CountingDeque(graph_module.deque):
+        def popleft(self):
+            pops.append(1)
+            return super().popleft()
+
+    monkeypatch.setattr(graph_module, "deque", CountingDeque)
+    assert girth(cycle(2000)) == 2000
+    assert 0 < len(pops) <= 2 * 2000
+
+
 @given(small_graphs())
 def test_girth_forest_test(g):
     forest = g.edge_count == g.vertex_count - len(connected_components(g))

@@ -54,7 +54,8 @@ def complete_graph(n):
 
 def test_matching_canonicalizes_edges():
     m = Matching([(4, 3), Edge(0, 1)])
-    assert m.edges == (Edge(0, 1), Edge(3, 4))
+    assert m.edges == (Edge(0, 1), Edge(3, 4)) == m
+    assert type(m.edges) is tuple and repr(m) == "Matching(0-1, 3-4)"
     assert len(m) == 2
     assert Edge(3, 4) in m and (3, 4) in m
     assert Edge(1, 2) not in m and (4, 3) not in m
