@@ -10,7 +10,7 @@ emitted edge lists read like the construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -117,12 +117,7 @@ def high_degree_extremal(n: int, delta: int, *, max_vertices: int = 4096) -> Gra
     return Graph(total, edges, labels)
 
 
-def _sorted_unique(items) -> tuple[int, ...]:
-    return tuple(sorted(set(items)))
-
-
-@dataclass(frozen=True)
-class TightRecipe:
+class TightRecipe(NamedTuple):
     """Build plan for a graph certified tight by its embedded matching.
 
     The matching is ``k2_count`` disjoint edges on vertices 0..2k−1 (vertex
@@ -133,6 +128,9 @@ class TightRecipe:
     unmarked partners to attachment vertices; ``extra_edges`` run between
     matched vertices whose partners are marked.  ``pendant_counts`` gives
     per marked vertex the number of leaves to hang in the final step.
+
+    Fields are kept as given.  The build ignores the order and repeats of
+    every field's entries, except that ``a_edges`` group j is attachment j.
     """
 
     k2_count: int
@@ -142,23 +140,6 @@ class TightRecipe:
     leaf_edges: tuple[tuple[int, int], ...] = ()
     extra_edges: tuple[tuple[int, int], ...] = ()
     pendant_counts: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "marked", _sorted_unique(self.marked))
-        object.__setattr__(
-            self, "a_edges", tuple(_sorted_unique(group) for group in self.a_edges)
-        )
-        object.__setattr__(
-            self, "leaf_edges", tuple(sorted(set((v, a) for v, a in self.leaf_edges)))
-        )
-        object.__setattr__(
-            self,
-            "extra_edges",
-            tuple(sorted(set((min(u, v), max(u, v)) for u, v in self.extra_edges))),
-        )
-        object.__setattr__(
-            self, "pendant_counts", tuple(sorted(set(self.pendant_counts)))
-        )
 
 
 def build_tight_graph(
@@ -186,13 +167,13 @@ def build_tight_graph(
             " neighbor groups"
         )
     base = 2 * k2
-    for v in recipe.marked:
+    marked = set(recipe.marked)
+    for v in sorted(marked):
         if not 0 <= v < base:
             raise DomainError(f"marked vertex {v} is not a matched vertex")
-    marked = set(recipe.marked)
-    unmarked_partner = {v for v in range(base) if (v ^ 1) not in marked}
+    unmarked_partner = [v for v in range(base) if (v ^ 1) not in marked]
 
-    adjacency: dict[int, set[int]] = {v: set() for v in range(base + recipe.a_count)}
+    adjacency: list[set[int]] = [set() for _ in range(base + recipe.a_count)]
 
     def add_edge(u: int, v: int) -> None:
         if u == v:
@@ -200,9 +181,18 @@ def build_tight_graph(
         adjacency[u].add(v)
         adjacency[v].add(u)
 
+    def add_vertex(neighbors: Iterable[int], what: str) -> None:
+        if len(adjacency) >= max_vertices:
+            raise ResourceLimitError(f"{what} exceeded the vertex limit of {max_vertices}")
+        v = len(adjacency)
+        adjacency.append(set())
+        for t in neighbors:
+            add_edge(v, t)
+
     for i in range(k2):
         add_edge(2 * i, 2 * i + 1)
     for j, group in enumerate(recipe.a_edges):
+        group = sorted(set(group))
         if len(group) < 2:
             raise DomainError(f"attachment vertex a{j} needs at least two neighbors")
         for v in group:
@@ -213,46 +203,42 @@ def build_tight_graph(
     # Step-4 edges may only leave vertices that are still bare after the
     # attachment round, and only when their partner is unmarked.
     bare = {v for v in range(base) if len(adjacency[v]) == 1}
-    for v, a in recipe.leaf_edges:
+    for v, a in sorted({(v, a) for v, a in recipe.leaf_edges}):
         if not base <= a < base + recipe.a_count:
             raise DomainError(f"{a} is not an attachment vertex id")
         if v not in bare:
             raise DomainError(f"vertex {v} is not a bare matched vertex")
-        if v not in unmarked_partner:
+        if (v ^ 1) in marked:
             raise DomainError(f"vertex {v} has a marked partner")
         add_edge(v, a)
 
-    for u, v in recipe.extra_edges:
+    for u, v in sorted({(min(u, v), max(u, v)) for u, v in recipe.extra_edges}):
         for w in (u, v):
             if not 0 <= w < base:
                 raise DomainError(f"extra edge endpoint {w} is not a matched vertex")
-            if w in unmarked_partner:
+            if (w ^ 1) not in marked:
                 raise DomainError(f"extra edge endpoint {w} has an unmarked partner")
         add_edge(u, v)
 
-    next_id = base + recipe.a_count
+    # Only matched vertices gain edges from here on, and none of them can
+    # have a pair as its neighborhood: every vertex of a pair is unmarked,
+    # so a matched vertex whose partner lies in the pair has no extra edge
+    # and sees one matched vertex, while a pair holds two.  So the
+    # neighborhoods a witness could already have are the attachment
+    # vertices' and the witnesses' own, fixed once drawn.
+    neighborhoods = {frozenset(adjacency[a]) for a in range(base, base + recipe.a_count)}
 
     def ensure_witness(pair: frozenset[int]) -> bool:
-        nonlocal next_id
-        for nb in adjacency.values():
-            if nb == pair:
-                return False
-        if next_id >= max_vertices:
-            raise ResourceLimitError(
-                f"witness closure exceeded the vertex limit of {max_vertices}"
-            )
-        w = next_id
-        next_id += 1
-        adjacency[w] = set()
-        for t in pair:
-            add_edge(w, t)
+        if pair in neighborhoods:
+            return False
+        add_vertex(pair, "witness closure")
+        neighborhoods.add(pair)
         return True
 
-    pool = sorted(unmarked_partner)
     changed = True
     while changed:
         changed = False
-        for u, v in combinations(pool, 2):
+        for u, v in combinations(unmarked_partner, 2):
             if u in marked or v in marked:
                 if adjacency[u] & adjacency[v]:
                     changed |= ensure_witness(frozenset((u ^ 1, v ^ 1)))
@@ -260,10 +246,10 @@ def build_tight_graph(
                 # For a matched pair both sets coincide: one witness only.
                 changed |= ensure_witness(frozenset((u, v)))
                 changed |= ensure_witness(frozenset((u ^ 1, v ^ 1)))
-    witness_count = next_id - base - recipe.a_count
+    witness_end = len(adjacency)
 
     requested: dict[int, int] = {}
-    for v, count in recipe.pendant_counts:
+    for v, count in sorted(set(recipe.pendant_counts)):
         if v in requested:
             raise DomainError(f"duplicate pendant count for vertex {v}")
         if v not in marked:
@@ -273,31 +259,21 @@ def build_tight_graph(
         requested[v] = count
     # Support status is judged once, before any pendant is added, so the
     # outcome does not depend on the order marked vertices are processed.
-    supported = {
-        v: any(len(adjacency[w]) == 1 for w in adjacency[v]) for v in sorted(marked)
-    }
+    supported = {v for v in marked if any(len(adjacency[w]) == 1 for w in adjacency[v])}
     for v in sorted(marked):
         count = requested.get(v, 0)
-        if count == 0 and not supported[v]:
+        if count == 0 and v not in supported:
             raise DomainError(f"marked vertex {v} needs at least one pendant leaf")
         for _ in range(count):
-            if next_id >= max_vertices:
-                raise ResourceLimitError(
-                    f"pendant leaves exceeded the vertex limit of {max_vertices}"
-                )
-            leaf = next_id
-            next_id += 1
-            adjacency[leaf] = set()
-            add_edge(leaf, v)
+            add_vertex((v,), "pendant leaves")
 
     labels = (
         [f"m{i}" for i in range(base)]
         + [f"a{i}" for i in range(recipe.a_count)]
-        + [f"w{i}" for i in range(witness_count)]
-        + [f"p{i}" for i in range(next_id - base - recipe.a_count - witness_count)]
+        + [f"w{i}" for i in range(witness_end - base - recipe.a_count)]
+        + [f"p{i}" for i in range(len(adjacency) - witness_end)]
     )
-    edges = [(u, v) for u, neighbors in adjacency.items() for v in neighbors if u < v]
-    graph = Graph(next_id, edges, labels)
+    graph = Graph._from_checked(adjacency, tuple(labels))
     matching = Matching((2 * i, 2 * i + 1) for i in range(k2))
     return graph, matching
 

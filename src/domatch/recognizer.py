@@ -192,7 +192,7 @@ def _degree_two_violations(
     if extending is not None:
         yield Violation(
             "maximal",
-            tuple(extending),
+            (),
             (extending,),
             f"edge {extending.u}-{extending.v} could extend the matching",
         )

@@ -214,6 +214,16 @@ def test_verify_flags_non_maximal(tmp_path, capsys):
     assert "verdict: certificate fails" in out
 
 
+def test_verify_names_the_extending_edge_once(tmp_path, capsys):
+    graph = write_graph(tmp_path, cycle(4))
+    matching = write_text(tmp_path, "v0 v1\n", "m.txt")
+    assert main(["verify", graph, matching, "--machine"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("violation_")] == [
+        "violation_maximal: v2 v3"
+    ]
+
+
 def test_verify_checks_maximality_and_classifies_supports_once(tmp_path, capsys, monkeypatch):
     import domatch.characterization as characterization
     import domatch.cli as cli
@@ -443,7 +453,7 @@ LOADED_MODULES = (
 )
 CORE_MODULES = ["domatch", "domatch.cli", "domatch.errors", "domatch.graph", "domatch.oracles"]
 CERTIFICATE_MODULES = sorted(CORE_MODULES + ["domatch.characterization", "domatch.recognizer"])
-GENERATE_MODULES = sorted(CORE_MODULES + ["dataclasses", "domatch.generators"])
+GENERATE_MODULES = sorted(CORE_MODULES + ["domatch.generators"])
 
 
 def loaded_modules(code, argv=()):
@@ -578,6 +588,15 @@ HUMAN_GOLDEN = [
         "  vertex 3 must see exactly its partner 2 among matched vertices"
         " (vertices: v3 v0 v2)\n"
         "condition ii: ok\nverdict: certificate fails\n",
+    ),
+    (
+        "verify",
+        "c4",
+        "v0 v1\n",
+        1,
+        "condition maximal: violated\n"
+        "  edge 2-3 could extend the matching (vertices: v2 v3)\n"
+        "condition i: ok\ncondition ii: ok\nverdict: certificate fails\n",
     ),
 ]
 

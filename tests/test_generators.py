@@ -1,3 +1,5 @@
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -19,6 +21,7 @@ from domatch import (
     minimum_maximal_matching,
     random_tight_graph,
     recognize,
+    serialize_edge_list,
     total_domination_number,
 )
 from domatch.generators import (
@@ -128,19 +131,29 @@ def test_high_degree_extremal_rejects_bad_parameters():
 # recipes
 
 
-def test_recipe_canonicalization():
+def test_recipe_order_and_repeats_do_not_change_the_build():
     recipe = TightRecipe(
-        2,
-        1,
-        marked=(3, 1, 3),
-        a_edges=((2, 0),),
-        extra_edges=((3, 1),),
-        pendant_counts=((3, 1), (1, 2)),
+        4,
+        3,
+        marked=(0, 3, 4),
+        a_edges=((0, 2), (2, 4, 6), (5, 7)),
+        leaf_edges=((3, 8),),
+        extra_edges=((1, 5),),
+        pendant_counts=((0, 1), (3, 2), (4, 1)),
     )
-    assert recipe.marked == (1, 3)
-    assert recipe.a_edges == ((0, 2),)
-    assert recipe.extra_edges == ((1, 3),)
-    assert recipe.pendant_counts == ((1, 2), (3, 1))
+    shuffled = recipe._replace(
+        marked=(4, 0, 3, 0),
+        a_edges=((2, 0, 2), (6, 4, 2), (7, 5, 7)),
+        leaf_edges=((3, 8), (3, 8)),
+        extra_edges=((5, 1), (1, 5)),
+        pendant_counts=((4, 1), (3, 2), (0, 1), (3, 2)),
+    )
+    assert build_tight_graph(shuffled) == build_tight_graph(recipe)
+    assert shuffled.marked == (4, 0, 3, 0)
+    assert shuffled.a_edges == ((2, 0, 2), (6, 4, 2), (7, 5, 7))
+    assert shuffled.leaf_edges == ((3, 8), (3, 8))
+    assert shuffled.extra_edges == ((5, 1), (1, 5))
+    assert shuffled.pendant_counts == ((4, 1), (3, 2), (0, 1), (3, 2))
 
 
 def test_build_rejects_malformed_recipes():
@@ -277,6 +290,21 @@ def test_random_tight_graph_without_marks_is_leafless():
         g, _ = random_tight_graph(seed, params)
         assert min_degree(g) == 2
         assert recognize(g).verdict
+
+
+def test_random_tight_graph_output_is_pinned():
+    leafless = TightGraphParams(
+        max_k2=40, max_a=20, mark_probability=0.0, extra_edge_probability=0.2, max_vertices=350
+    )
+    leafy = TightGraphParams(
+        max_k2=6, max_a=3, mark_probability=0.25, extra_edge_probability=0.2, max_vertices=20
+    )
+    h = hashlib.sha256()
+    for params in (TightGraphParams(), leafless, leafy):
+        for seed in range(30):
+            g, m = random_tight_graph(seed, params)
+            h.update((serialize_edge_list(g) + repr(m)).encode())
+    assert h.hexdigest() == "00582aab047f5d3dac04f0a43a944d36eb59c2e10b88063ac95add7d17f82b1f"
 
 
 def test_random_tight_graph_rejects_bad_params():
