@@ -311,9 +311,8 @@ def iter_maximal_matchings(
     effort over all sizes is metered; crossing ``budget`` nodes raises
     :class:`~domatch.errors.ResourceLimitError`.
     """
-    edges = g.edges()
-    for chosen, _ in _maximal_matchings(g, budget):
-        yield Matching(edges[i] for i in chosen)
+    for chosen, _ in _maximal_matchings(g._adjacency, g.vertices(), budget):
+        yield Matching(chosen)
 
 
 def find_certifying_matching(
@@ -350,7 +349,7 @@ def find_certifying_matching(
     support = support_classification(g)
     pinned = _pinned_pairs(adjacency, g.vertices())
     sup, s_minus = support.sup, support.s_minus
-    edges, incident, kill, ends = _edge_masks(g)
+    edges, incident, kill, ends = _edge_masks(adjacency, g.vertices())
     # per allowed edge: the edges a pick rules out (those touching its ends
     # or a vertex it blocks), and the vertices that must not be matched
     # already (the neighbors of its S⁻ and no-support ends)

@@ -56,6 +56,14 @@ def _check_label(label: str) -> str:
     return label
 
 
+def _sorted_edges(adjacency: Sequence[frozenset[int]], vertices: Sequence[int]) -> tuple[Edge, ...]:
+    """Edges at sorted ``vertices``, a union of components, sorted canonically:
+    each u's larger neighbours in order, built with tuple.__new__, which
+    skips the named tuple's Python-level constructor and halves the cost."""
+    pairs = [(u, v) for u in vertices for v in sorted(adjacency[u]) if v > u]
+    return tuple(map(tuple.__new__, repeat(Edge), pairs))
+
+
 class Graph:
     """A finite simple undirected graph.
 
@@ -133,13 +141,7 @@ class Graph:
     def edges(self) -> tuple[Edge, ...]:
         """All edges, sorted canonically."""
         if self._edges is None:
-            # Walking each u over its larger neighbours in order yields the
-            # pairs sorted and canonical; tuple.__new__ skips the
-            # Python-level constructor of the named tuple and halves the cost.
-            pairs = [
-                (u, v) for u, near in enumerate(self._adjacency) for v in sorted(near) if v > u
-            ]
-            self._edges = tuple(map(tuple.__new__, repeat(Edge), pairs))
+            self._edges = _sorted_edges(self._adjacency, self.vertices())
         return self._edges
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -369,8 +371,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
     for v in chosen:
         g._check_vertex(v)
     back = {orig: new for new, orig in enumerate(chosen)}
-    # Read only the chosen vertices' adjacency: the cost must not grow with
-    # the rest of ``g``, since the solvers call this once per component.
     edges = [(back[u], back[v]) for u in chosen for v in g._adjacency[u] if v > u and v in back]
     labels = [g._labels[v] for v in chosen]
     return InducedSubgraph(Graph(len(chosen), edges, labels=labels), tuple(chosen))

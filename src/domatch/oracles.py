@@ -6,17 +6,21 @@ maximal matching number, the predicates behind them, and the degree-aware
 upper-bound report.  All searches are deterministic; witnesses are the
 lexicographically least optima under sorted vertex and edge order.
 
-One driver, :func:`_deepening_search`, runs both searches: it deepens the
-solution size, picks in ascending order on an explicit stack (so depth is
-not bounded by the recursion limit) and counts nodes.  Each solver brings
-only its masks, open neighborhoods for γ_t and edge kill sets for μ*, and
-its bound: one pass over what is still undominated that caps the next pick
-and counts a greedy packing (the domination solver tries an O(1) count
-bound first).  The cuts lose no solution, so witnesses are those of the
-unpruned search.  μ* is the first hit of :func:`_maximal_matchings`, which
-also lists every maximal matching for
-:func:`~domatch.characterization.iter_maximal_matchings`; the certificate
-search prunes by the certificate conditions and needs no μ*.
+Both invariants add over connected components.  One loop,
+:func:`_by_component`, hands each component with an edge to a search in
+place, as a sorted vertex list over the input's adjacency, and sums the
+picks (ids of the input) and nodes; no subgraph is built.  One driver,
+:func:`_deepening_search`, runs both searches: it deepens the solution
+size, picks in ascending order on an explicit stack (so depth is not
+bounded by the recursion limit) and counts nodes.  Each solver brings only
+its masks, open neighborhoods for γ_t and edge kill sets for μ* (bit i is
+the component's i-th vertex or edge), and its bound: one pass over what is
+still undominated that caps the next pick and counts a greedy packing (the
+domination solver tries an O(1) count bound first).  The cuts lose no
+solution, so witnesses are those of the unpruned search.  μ* is the first
+hit of :func:`_maximal_matchings`, which also lists every maximal matching
+for :func:`~domatch.characterization.iter_maximal_matchings`; the
+certificate search prunes by the certificate conditions and needs no μ*.
 
 Intended for desk-scale instances.  A hard vertex limit (default
 :data:`DEFAULT_MAX_VERTICES`) turns oversized inputs into a loud
@@ -29,7 +33,7 @@ from time import perf_counter
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .graph import Edge, Graph, connected_components, induced_subgraph, min_degree
+from .graph import Edge, Graph, _sorted_edges, connected_components, min_degree
 
 #: Hard ceiling on instance size for the exact solvers.
 DEFAULT_MAX_VERTICES = 24
@@ -115,21 +119,14 @@ class BoundReport(NamedTuple):
 def _require_no_isolated(g: Graph) -> None:
     if g.vertex_count == 0:
         raise DomainError("empty graph: gamma_t undefined")
-    for v in g.vertices():
-        if g.degree(v) == 0:
-            raise DomainError("isolated vertex: gamma_t undefined")
-
-
-def _resolve_limit(max_vertices: int | None) -> int:
-    return DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
+    if min_degree(g) == 0:
+        raise DomainError("isolated vertex: gamma_t undefined")
 
 
 def _check_size(g: Graph, max_vertices: int | None) -> None:
-    limit = _resolve_limit(max_vertices)
+    limit = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
     if g.vertex_count > limit:
-        raise ResourceLimitError(
-            f"{g.vertex_count} vertices exceeds the solver limit of {limit}"
-        )
+        raise ResourceLimitError(f"{g.vertex_count} vertices exceeds the solver limit of {limit}")
 
 
 def is_total_dominating(g: Graph, candidate: Iterable[int]) -> bool:
@@ -158,20 +155,18 @@ def _validated_edges(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> set[E
     return canonical
 
 
-def _covered_if_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> set[int] | None:
-    """Vertices covered by ``edges``, or None when two of them share an endpoint."""
-    covered: set[int] = set()
-    for e in _validated_edges(g, edges):
-        if e.u in covered or e.v in covered:
-            return None
-        covered.add(e.u)
-        covered.add(e.v)
-    return covered
+def _as_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> Matching | None:
+    """``edges`` as a Matching, or None if two meet; raises on a non-edge of ``g``."""
+    canonical = _validated_edges(g, edges)
+    try:
+        return Matching(canonical)
+    except DomainError:
+        return None
 
 
 def is_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bool:
     """True iff ``edges`` are pairwise disjoint edges of ``g``."""
-    return _covered_if_matching(g, edges) is not None
+    return _as_matching(g, edges) is not None
 
 
 def _extending_edge(
@@ -188,8 +183,8 @@ def _extending_edge(
 
 def is_maximal_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bool:
     """True iff ``edges`` form a matching no edge of ``g`` can extend."""
-    covered = _covered_if_matching(g, edges)
-    return covered is not None and _extending_edge(g._adjacency, g.vertices(), covered) is None
+    m = _as_matching(g, edges)
+    return m is not None and _extending_edge(g._adjacency, g.vertices(), m.covered) is None
 
 
 def _deepening_search(
@@ -248,18 +243,22 @@ def _deepening_search(
         found = hit
 
 
-def _solve_total_domination(g: Graph) -> tuple[tuple[int, ...], int]:
-    """Lexicographically least smallest total dominating set of a graph
-    without isolated vertices, and the search nodes it took.
+def _solve_total_domination(
+    adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
+) -> tuple[list[int], int]:
+    """Lexicographically least smallest total dominating set of the
+    component on sorted ``vertices`` (bit i is ``vertices[i]``), which has
+    an edge, and the search nodes it took.
 
     Any vertex may be picked, and dominates its open neighborhood.  The
     next pick is at most the smallest largest neighbor of an undominated
     vertex.  Undominated vertices with pairwise disjoint neighborhoods
-    among the allowed ids need a pick each; the O(1) count bound (a pick
+    among the allowed ones need a pick each; the O(1) count bound (a pick
     dominates at most ``max_cover`` vertices) is tried before that greedy
-    packing, and on the whole graph the larger bound is the first size.
+    packing, and on the whole component the larger bound is the first size.
     """
-    nbr = [sum(1 << w for w in g.neighbors(v)) for v in g.vertices()]
+    position = {v: i for i, v in enumerate(vertices)}
+    nbr = [sum(1 << position[w] for w in adjacency[v]) for v in vertices]
     n = len(nbr)
     max_dominator = [m.bit_length() - 1 for m in nbr]
     max_cover = max(m.bit_count() for m in nbr)
@@ -287,29 +286,36 @@ def _solve_total_domination(g: Graph) -> tuple[tuple[int, ...], int]:
         return cap, max(need, least)
 
     full = (1 << n) - 1
-    return next(_deepening_search(nbr, full, bounds, max(1, bounds(full, full, n)[1])))
+    picks, nodes = next(_deepening_search(nbr, full, bounds, max(1, bounds(full, full, n)[1])))
+    return [vertices[i] for i in picks], nodes
 
 
-def _edge_masks(g: Graph) -> tuple[tuple[Edge, ...], list[int], list[int], list[int]]:
-    """``g.edges()`` with bit masks over their indices: the edges at each
-    vertex, the edges sharing an endpoint with each edge (itself included),
-    and each edge's two endpoints as a vertex mask."""
-    edges = g.edges()
-    incident = [0] * g.vertex_count
-    for i, e in enumerate(edges):
-        incident[e.u] |= 1 << i
-        incident[e.v] |= 1 << i
-    kill = [incident[e.u] | incident[e.v] for e in edges]
-    ends = [(1 << e.u) | (1 << e.v) for e in edges]
+def _edge_masks(
+    adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
+) -> tuple[tuple[Edge, ...], list[int], list[int], list[int]]:
+    """The sorted edges at sorted ``vertices``, a union of components, with
+    bit masks over their indices: the edges at each vertex, the edges
+    sharing an endpoint with each edge (itself included), and each edge's
+    two endpoints as a vertex mask.  Vertex i (index or bit) is ``vertices[i]``."""
+    edges = _sorted_edges(adjacency, vertices)
+    position = {v: i for i, v in enumerate(vertices)}
+    pairs = [(position[u], position[v]) for u, v in edges]
+    incident = [0] * len(vertices)
+    for i, (u, v) in enumerate(pairs):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    kill = [incident[u] | incident[v] for u, v in pairs]
+    ends = [(1 << u) | (1 << v) for u, v in pairs]
     return edges, incident, kill, ends
 
 
 def _maximal_matchings(
-    g: Graph, budget: int | None = None
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The maximal matchings of ``g``, smallest first, as sorted tuples of
-    indices into ``g.edges()``, each with the search nodes explored so far.
-    Their sizes form an interval, so the search may stop at an empty size.
+    adjacency: Sequence[frozenset[int]], vertices: Sequence[int], budget: int | None = None
+) -> Iterator[tuple[list[Edge], int]]:
+    """The maximal matchings on sorted ``vertices``, a union of components,
+    smallest first, as sorted edge lists, each with the search nodes
+    explored so far.  Their sizes form an interval, so the search may stop
+    at an empty size.
 
     A maximal edge set leaves no edge with both ends uncovered
     ("undominated").  Only undominated edges are picked, and a pick
@@ -319,7 +325,7 @@ def _maximal_matchings(
     at most one of a set whose kill sets within the allowed edges are
     pairwise disjoint; the larger greedy count is the picks still needed.
     """
-    _, _, kill, ends = _edge_masks(g)
+    edges, _, kill, ends = _edge_masks(adjacency, vertices)
     m = len(kill)
     max_killer = [k.bit_length() - 1 for k in kill]
 
@@ -349,7 +355,22 @@ def _maximal_matchings(
         return cap, max(packed, -(-disjoint // 2))
 
     full = (1 << m) - 1
-    return _deepening_search(kill, 0, bounds, bounds(full, full, m)[1], budget)
+    searches = _deepening_search(kill, 0, bounds, bounds(full, full, m)[1], budget)
+    return (([edges[i] for i in picks], nodes) for picks, nodes in searches)
+
+
+def _by_component(g: Graph, solve: Callable[..., tuple[list, int]]) -> tuple[list, SearchStats]:
+    """The picks of ``solve(adjacency, sorted component)`` over the
+    components of ``g`` with an edge, and the search they took together."""
+    started = perf_counter()
+    picks: list = []
+    nodes = 0
+    for component in connected_components(g):
+        if len(component) > 1:
+            local, explored = solve(g._adjacency, sorted(component))
+            picks += local
+            nodes += explored
+    return picks, SearchStats(nodes, perf_counter() - started)
 
 
 def total_domination_number(g: Graph, *, max_vertices: int | None = None) -> SolverResult:
@@ -360,43 +381,22 @@ def total_domination_number(g: Graph, *, max_vertices: int | None = None) -> Sol
     """
     _require_no_isolated(g)
     _check_size(g, max_vertices)
-    started = perf_counter()
-    value = 0
-    witness: set[int] = set()
-    nodes = 0
-    for component in connected_components(g):
-        sub, original = induced_subgraph(g, component)
-        local, explored = _solve_total_domination(sub)
-        value += len(local)
-        witness.update(original[v] for v in local)
-        nodes += explored
-    return SolverResult(value, frozenset(witness), SearchStats(nodes, perf_counter() - started))
+    picks, stats = _by_component(g, _solve_total_domination)
+    return SolverResult(len(picks), frozenset(picks), stats)
 
 
 def minimum_maximal_matching(g: Graph, *, max_vertices: int | None = None) -> SolverResult:
     """Exact minimum maximal matching with a lexicographically least witness.
 
     The graph needs at least one edge.  Isolated vertices are irrelevant to
-    matchings and are tolerated; components are solved independently.
+    matchings and are tolerated; components are solved independently, and
+    the first maximal matching of each is its least optimum.
     """
     if g.edge_count == 0:
         raise DomainError("graph has no edges: mu_star undefined")
     _check_size(g, max_vertices)
-    started = perf_counter()
-    value = 0
-    picked: list[Edge] = []
-    nodes = 0
-    for component in connected_components(g):
-        if len(component) == 1:
-            continue
-        sub, original = induced_subgraph(g, component)
-        # the first maximal matching found is the lexicographically least optimum
-        local, explored = next(_maximal_matchings(sub))
-        value += len(local)
-        edges = sub.edges()
-        picked.extend(Edge.of(original[edges[i].u], original[edges[i].v]) for i in local)
-        nodes += explored
-    return SolverResult(value, Matching(picked), SearchStats(nodes, perf_counter() - started))
+    picks, stats = _by_component(g, lambda *component: next(_maximal_matchings(*component)))
+    return SolverResult(len(picks), Matching(picks), stats)
 
 
 def is_tight_graph(g: Graph, *, max_vertices: int | None = None) -> bool:

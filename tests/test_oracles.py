@@ -1,3 +1,4 @@
+import functools
 import inspect
 import random
 import sys
@@ -13,6 +14,8 @@ from domatch import (
     Matching,
     ResourceLimitError,
     check_matching_bound,
+    connected_components,
+    induced_subgraph,
     is_connected,
     is_matching,
     is_maximal_matching,
@@ -313,7 +316,7 @@ def test_component_witness_is_global_optimum():
 
 
 def test_solvers_never_list_the_input_edges():
-    # Components are solved on subgraphs built from adjacency, and maximality
+    # Components are searched in place through the adjacency, and maximality
     # is read from adjacency too, so the input's edge tuple is never built.
     union = helpers.disjoint_union(helpers.disjoint_union(cycle(6), cycle(4)), path(4))
     perfect = [(2 * i, 2 * i + 1) for i in range(7)]
@@ -325,6 +328,55 @@ def test_solvers_never_list_the_input_edges():
     assert is_maximal_matching(union, perfect)
     assert not is_maximal_matching(union, perfect[:-1])
     assert union._edges is None
+
+
+def relabelled_union(rng, parts):
+    """Disjoint union of ``parts`` under a random permutation of its ids."""
+    union = functools.reduce(helpers.disjoint_union, parts)
+    permutation = list(range(union.vertex_count))
+    rng.shuffle(permutation)
+    return helpers.relabel(union, permutation)
+
+
+def test_solvers_build_no_graph_per_component(monkeypatch):
+    # Components are read in place through the input's adjacency.
+    rng = random.Random(15)
+    g = relabelled_union(rng, [helpers.random_connected_graph(rng, n, 2) for n in (5, 4, 6)])
+    builds = []
+    build = Graph._build
+    monkeypatch.setattr(Graph, "_build", lambda *args: builds.append(args) or build(*args))
+    assert total_domination_number(g).value > 0
+    assert minimum_maximal_matching(g).value > 0
+    assert builds == []
+
+
+def test_solvers_on_a_union_equal_their_pieces():
+    # Solving a union in place must give the values, witnesses and node
+    # totals of solving each induced piece alone and mapping it back.
+    rng = random.Random(1507)
+    interleaved = 0
+    for _ in range(60):
+        sizes = [rng.randint(3, 8) for _ in range(rng.randint(2, 3))]
+        parts = [helpers.random_connected_graph(rng, n, rng.randint(0, n)) for n in sizes]
+        g = relabelled_union(rng, parts)
+        components = connected_components(g)
+        interleaved += any(max(c) - min(c) >= len(c) for c in components)
+        for solve in (total_domination_number, minimum_maximal_matching):
+            whole = solve(g)
+            value = nodes = 0
+            witness = []
+            for component in components:
+                piece, original = induced_subgraph(g, component)
+                result = solve(piece)
+                value += result.value
+                nodes += result.stats.nodes
+                witness += [
+                    Edge.of(original[x.u], original[x.v]) if isinstance(x, Edge) else original[x]
+                    for x in result.witness
+                ]
+            assert (whole.value, whole.stats.nodes) == (value, nodes)
+            assert whole.witness == type(whole.witness)(witness)
+    assert interleaved >= 50
 
 
 def test_mu_star_requires_an_edge():
