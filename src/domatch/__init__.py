@@ -52,7 +52,6 @@ _EXPORTS = {
         "SupportClassification",
         "connected_components",
         "girth",
-        "induced_subgraph",
         "is_connected",
         "is_cycle_of_length",
         "min_degree",

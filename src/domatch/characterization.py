@@ -340,8 +340,10 @@ def find_certifying_matching(
     A maximal matching reached that covers every support vertex gets the
     full check, and the first to pass is returned.  None means the pruned
     search was exhausted: no maximal matching meets the conditions, which
-    for connected graphs of minimum degree one or two means γ_t < 2μ*.
-    Crossing ``budget`` search nodes raises
+    for graphs of minimum degree one or two means γ_t < 2μ*.  The
+    conditions are local to a component, so this covers disconnected
+    graphs too, and a component of minimum degree three or more has no
+    certificate.  Crossing ``budget`` search nodes raises
     :class:`~domatch.errors.ResourceLimitError`.
     """
     _require_low_degree(g)

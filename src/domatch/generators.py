@@ -20,6 +20,16 @@ from .graph import Graph
 from .oracles import Matching
 
 
+def _finish(vertex_count: int, pairs: Iterable[tuple[int, int]], labels: list[str]) -> Graph:
+    """The graph on ``pairs`` a builder here drew: distinct ids in range and
+    unique, format-safe labels, so nothing is checked again."""
+    adjacency: list[set[int]] = [set() for _ in range(vertex_count)]
+    for a, b in pairs:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return Graph._from_checked(adjacency, tuple(labels))
+
+
 def spider(n: int) -> Graph:
     """``n`` legs of three edges hanging from one center vertex.
 
@@ -34,7 +44,7 @@ def spider(n: int) -> Graph:
         x, y, z = 3 * i + 1, 3 * i + 2, 3 * i + 3
         labels += [f"x{i + 1}", f"y{i + 1}", f"z{i + 1}"]
         edges += [(0, x), (x, y), (y, z)]
-    return Graph(3 * n + 1, edges, labels)
+    return _finish(3 * n + 1, edges, labels)
 
 
 def subdivided_grid(n: int) -> Graph:
@@ -60,7 +70,7 @@ def subdivided_grid(n: int) -> Graph:
     for i in range(n):
         edges += [(top[i], mid_top[i]), (mid_top[i], top[i + 1])]
         edges += [(bottom[i], mid_bottom[i]), (mid_bottom[i], bottom[i + 1])]
-    return Graph(4 * n + 2, edges, labels)
+    return _finish(4 * n + 2, edges, labels)
 
 
 def triangle_book(n: int) -> Graph:
@@ -71,7 +81,7 @@ def triangle_book(n: int) -> Graph:
     edges = [(0, 1)]
     for i in range(n):
         edges += [(0, 2 + i), (1, 2 + i)]
-    return Graph(n + 2, edges, labels)
+    return _finish(n + 2, edges, labels)
 
 
 def cycle(n: int) -> Graph:
@@ -79,7 +89,7 @@ def cycle(n: int) -> Graph:
     if n < 3:
         raise DomainError("cycle needs at least three vertices")
     labels = [f"v{i}" for i in range(n)]
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)], labels)
+    return _finish(n, [(i, (i + 1) % n) for i in range(n)], labels)
 
 
 def path(n: int) -> Graph:
@@ -87,7 +97,7 @@ def path(n: int) -> Graph:
     if n < 2:
         raise DomainError("path needs at least two vertices")
     labels = [f"v{i}" for i in range(n)]
-    return Graph(n, [(i, i + 1) for i in range(n - 1)], labels)
+    return _finish(n, [(i, i + 1) for i in range(n - 1)], labels)
 
 
 def high_degree_extremal(n: int, delta: int, *, max_vertices: int = 4096) -> Graph:
@@ -114,7 +124,7 @@ def high_degree_extremal(n: int, delta: int, *, max_vertices: int = 4096) -> Gra
         apex = base + j
         labels.append(f"s{j}")
         edges += [(apex, v) for v in subset]
-    return Graph(total, edges, labels)
+    return _finish(total, edges, labels)
 
 
 class TightRecipe(NamedTuple):

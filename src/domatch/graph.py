@@ -1,6 +1,6 @@
 """Immutable simple-graph type plus the structural queries the rest of the
 package builds on: text round-tripping, degrees, connectivity, girth,
-support classification, induced subgraphs and small-family detection.
+support classification and small-family detection.
 
 Vertices are dense integer ids ``0..n-1``.  Optional per-vertex labels are
 kept only for round-tripping named input; every algorithm works on ids.
@@ -37,14 +37,6 @@ class Edge(NamedTuple):
         if a == b:
             raise DomainError(f"self-loop at vertex {a}")
         return cls(a, b) if a < b else cls(b, a)
-
-    def other(self, w: int) -> int:
-        """The endpoint that is not ``w``."""
-        if w == self.u:
-            return self.v
-        if w == self.v:
-            return self.u
-        raise DomainError(f"vertex {w} is not an endpoint of {self}")
 
 
 def _check_label(label: str) -> str:
@@ -352,28 +344,6 @@ def girth(g: Graph) -> int | float:
                     best = dx + dy + 1
         delete([root])
     return best
-
-
-class InducedSubgraph(NamedTuple):
-    """An induced subgraph together with the map back to original ids."""
-
-    graph: Graph
-    original_ids: tuple[int, ...]
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
-    """Subgraph induced by ``vertices``.
-
-    ``original_ids[i]`` is the id in ``g`` of the subgraph's vertex ``i``;
-    the mapping is sorted ascending, and labels carry over.
-    """
-    chosen = sorted(set(vertices))
-    for v in chosen:
-        g._check_vertex(v)
-    back = {orig: new for new, orig in enumerate(chosen)}
-    edges = [(back[u], back[v]) for u in chosen for v in g._adjacency[u] if v > u and v in back]
-    labels = [g._labels[v] for v in chosen]
-    return InducedSubgraph(Graph(len(chosen), edges, labels=labels), tuple(chosen))
 
 
 def is_cycle_of_length(g: Graph, n: int) -> bool:

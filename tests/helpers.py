@@ -10,6 +10,7 @@ equivalence suites.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -22,9 +23,7 @@ from domatch import (
     Graph,
     Matching,
     girth,
-    induced_subgraph,
     is_connected,
-    is_cycle_of_length,
     iter_maximal_matchings,
     min_degree,
     support_classification,
@@ -172,23 +171,30 @@ def pairwise_candidate_matching(g: Graph) -> tuple[Edge, ...]:
     """Candidate edges straight from the definition, pair by pair.
 
     For every pair of degree-two vertices x, y whose closed neighborhoods
-    union to six vertices, the induced subgraph is built and tested for
-    being a six-cycle; if it is, its two edges touching neither x nor y are
-    collected.  Quadratic in the degree-two vertices and linear in the edges
-    per pair, so keep inputs small.
+    union to six vertices, those six are tested for inducing a six-cycle:
+    each sees exactly two of the others, and the walk from x along them
+    comes back to x after six steps.  If they do, the two induced edges
+    touching neither x nor y are collected.  Quadratic in the degree-two
+    vertices, so keep inputs small.
     """
     found: set[Edge] = set()
     for x, y in itertools.combinations(sorted(degree_two_vertices(g)), 2):
         around = g.neighbors(x) | g.neighbors(y) | {x, y}
         if len(around) != 6:
             continue
-        sub, original = induced_subgraph(g, around)
-        if not is_cycle_of_length(sub, 6):
+        inside = {v: g.neighbors(v) & around for v in around}
+        if any(len(near) != 2 for near in inside.values()):
             continue
-        for e in sub.edges():
-            u, v = original[e.u], original[e.v]
-            if x not in (u, v) and y not in (u, v):
-                found.add(Edge.of(u, v))
+        previous, current, steps = x, min(inside[x]), 1
+        while current != x:
+            previous, current = current, min(inside[current] - {previous})
+            steps += 1
+        if steps != 6:
+            continue
+        for u in around:
+            for v in inside[u]:
+                if u < v and x not in (u, v) and y not in (u, v):
+                    found.add(Edge(u, v))
     return tuple(sorted(found))
 
 
@@ -240,6 +246,16 @@ def relabel(g: Graph, permutation: list[int]) -> Graph:
         g.vertex_count,
         [(permutation[e.u], permutation[e.v]) for e in g.edges()],
     )
+
+
+def relabelled_union(rng: random.Random, parts: list[Graph]) -> tuple[Graph, list[int]]:
+    """Disjoint union of ``parts`` under a random permutation of its ids,
+    with the permutation: vertex i of the union in block order becomes
+    ``permutation[i]``."""
+    union = functools.reduce(disjoint_union, parts)
+    permutation = list(range(union.vertex_count))
+    rng.shuffle(permutation)
+    return relabel(union, permutation), permutation
 
 
 def petersen_graph() -> Graph:

@@ -11,6 +11,7 @@ from domatch import (
     Matching,
     ResourceLimitError,
     check_certificate_conditions,
+    connected_components,
     find_certifying_matching,
     is_maximal_matching,
     is_tight_graph,
@@ -320,6 +321,39 @@ def test_find_agrees_with_oracle_on_small_catalog():
                 assert len(found.matching) == minimum_maximal_matching(g).value
                 assert 2 * len(found.matching) == total_domination_number(g).value
                 assert is_maximal_matching(g, found.matching.edges)
+
+
+def test_find_on_disconnected_unions_equals_walk_and_oracle():
+    # The conditions are local to a component, so on a union with its ids
+    # shuffled the search must still return the walk's first certificate,
+    # and find one exactly when the graph is tight.  About one part in
+    # seven is dense, so some unions have a component of minimum degree
+    # three or more, which has no certificate.
+    rng = random.Random(1607)
+    kept = with_dense_component = tight = 0
+    for _ in range(450):
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            if rng.random() < 0.15:
+                n = rng.randint(4, 6)
+                pairs = itertools.combinations(range(n), 2)
+                parts.append(Graph(n, [p for p in pairs if rng.random() < 0.8]))
+            else:
+                parts.append(helpers.random_low_degree_graph(rng, 3, 8))
+        g, _ = helpers.relabelled_union(rng, parts)
+        if min_degree(g) not in (1, 2):
+            continue
+        kept += 1
+        with_dense_component += any(
+            min(len(g.neighbors(v)) for v in c) >= 3 for c in connected_components(g)
+        )
+        found = find_certifying_matching(g)
+        expected = helpers.minimum_certifying_matching(g)
+        assert (found.matching if found else None) == expected
+        is_tight = is_tight_graph(g, max_vertices=30)
+        assert (found is not None) == is_tight
+        tight += is_tight
+    assert (kept, with_dense_component, tight) == (445, 80, 59)
 
 
 def relabelled_tight_graph(seed, params):

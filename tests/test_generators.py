@@ -19,6 +19,7 @@ from domatch import (
     is_tight_graph,
     min_degree,
     minimum_maximal_matching,
+    parse_edge_list,
     random_tight_graph,
     recognize,
     serialize_edge_list,
@@ -316,3 +317,34 @@ def test_random_tight_graph_rejects_bad_params():
         random_tight_graph(1, TightGraphParams(extra_edge_probability=-0.1))
     with pytest.raises(DomainError, match="vertex budget"):
         random_tight_graph(1, TightGraphParams(max_vertices=3))
+
+
+# ---------------------------------------------------------------------------
+# every graph the package makes skips the validating constructor
+
+
+def test_package_made_graphs_skip_validation_and_equal_validated_ones():
+    # With Graph.__init__ disabled, every generator and the parser must
+    # still build: the validating constructor is for input from outside the
+    # package.  Each result must equal, and hash like, its validated copy.
+    def refuse(*args, **kwargs):
+        raise AssertionError("Graph.__init__ called inside the package")
+
+    leafy = TightGraphParams(max_k2=6, max_a=3, mark_probability=0.3, max_vertices=24)
+    texts = ["a b\nb c\n", "vertices: p q r s\nq r\n", "\ufeffx y\n# note\ny z\nz x\n"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Graph, "__init__", refuse)
+        graphs = [build(n) for build in (spider, subdivided_grid, triangle_book) for n in range(1, 31)]
+        graphs += [cycle(n) for n in range(3, 33)] + [path(n) for n in range(2, 32)]
+        graphs += [
+            high_degree_extremal(n, delta) for delta in (3, 4, 5) for n in range(2, 5) if 2 * n > delta
+        ]
+        graphs += [random_tight_graph(seed)[0] for seed in range(20)]
+        graphs += [random_tight_graph(seed, leafy)[0] for seed in range(20)]
+        graphs += [parse_edge_list(text) for text in texts]
+        graphs += [parse_edge_list(serialize_edge_list(g)) for g in graphs[::15]]
+    for g in graphs:
+        validated = Graph(g.vertex_count, g.edges(), g.labels)
+        assert g == validated
+        assert hash(g) == hash(validated)
+    assert len(graphs) == 214

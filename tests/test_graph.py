@@ -12,7 +12,6 @@ from domatch import (
     Graph,
     connected_components,
     girth,
-    induced_subgraph,
     is_connected,
     is_cycle_of_length,
     min_degree,
@@ -42,18 +41,11 @@ def small_graphs(draw, max_vertices=8):
 def test_edge_canonical_orientation():
     assert Edge.of(3, 1) == Edge(1, 3)
     assert Edge.of(1, 3) == Edge(1, 3)
-    assert Edge.of(1, 3).other(1) == 3
-    assert Edge.of(1, 3).other(3) == 1
 
 
 def test_edge_rejects_self_loop():
     with pytest.raises(DomainError):
         Edge.of(2, 2)
-
-
-def test_edge_other_rejects_foreign_vertex():
-    with pytest.raises(DomainError):
-        Edge.of(1, 3).other(2)
 
 
 # ---------------------------------------------------------------------------
@@ -435,45 +427,6 @@ def test_girth_is_linear_on_a_long_cycle(monkeypatch):
 def test_girth_forest_test(g):
     forest = g.edge_count == g.vertex_count - len(connected_components(g))
     assert (girth(g) == INFINITE_GIRTH) == forest
-
-
-# ---------------------------------------------------------------------------
-# induced subgraphs
-
-
-def test_induced_subgraph_of_cycle_is_path():
-    sub, ids = induced_subgraph(cycle(6), range(5))
-    assert ids == (0, 1, 2, 3, 4)
-    assert sub.edge_count == 4
-    assert sorted(sub.degree(v) for v in sub.vertices()) == [1, 1, 2, 2, 2]
-
-
-def test_induced_subgraph_triangle_of_book():
-    g = triangle_book(2)
-    keep = [g.vertex_with_label(x) for x in ("u", "v", "w1")]
-    sub, _ = induced_subgraph(g, keep)
-    assert is_cycle_of_length(sub, 3)
-
-
-def test_induced_subgraph_grid_hexagon():
-    # the closed neighborhood of an opposite subdivision pair is a 6-cycle
-    g = subdivided_grid(2)
-    a1, b1 = g.vertex_with_label("a1"), g.vertex_with_label("b1")
-    keep = set(g.neighbors(a1)) | set(g.neighbors(b1)) | {a1, b1}
-    sub, ids = induced_subgraph(g, keep)
-    assert is_cycle_of_length(sub, 6)
-    assert ids == tuple(sorted(keep))
-
-
-def test_induced_subgraph_keeps_labels():
-    g = spider(2)
-    sub, ids = induced_subgraph(g, [0, 1, 2])
-    assert sub.labels == tuple(g.label(v) for v in ids)
-
-
-def test_induced_subgraph_rejects_unknown_vertex():
-    with pytest.raises(DomainError):
-        induced_subgraph(cycle(3), [0, 5])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import functools
 import inspect
 import random
 import sys
@@ -15,7 +14,6 @@ from domatch import (
     ResourceLimitError,
     check_matching_bound,
     connected_components,
-    induced_subgraph,
     is_connected,
     is_matching,
     is_maximal_matching,
@@ -330,18 +328,12 @@ def test_solvers_never_list_the_input_edges():
     assert union._edges is None
 
 
-def relabelled_union(rng, parts):
-    """Disjoint union of ``parts`` under a random permutation of its ids."""
-    union = functools.reduce(helpers.disjoint_union, parts)
-    permutation = list(range(union.vertex_count))
-    rng.shuffle(permutation)
-    return helpers.relabel(union, permutation)
-
-
 def test_solvers_build_no_graph_per_component(monkeypatch):
     # Components are read in place through the input's adjacency.
     rng = random.Random(15)
-    g = relabelled_union(rng, [helpers.random_connected_graph(rng, n, 2) for n in (5, 4, 6)])
+    g, _ = helpers.relabelled_union(
+        rng, [helpers.random_connected_graph(rng, n, 2) for n in (5, 4, 6)]
+    )
     builds = []
     build = Graph._build
     monkeypatch.setattr(Graph, "_build", lambda *args: builds.append(args) or build(*args))
@@ -352,21 +344,28 @@ def test_solvers_build_no_graph_per_component(monkeypatch):
 
 def test_solvers_on_a_union_equal_their_pieces():
     # Solving a union in place must give the values, witnesses and node
-    # totals of solving each induced piece alone and mapping it back.
+    # totals of solving each part alone, relabelled onto its ids in the
+    # union in the same relative order, and mapping it back.
     rng = random.Random(1507)
     interleaved = 0
     for _ in range(60):
         sizes = [rng.randint(3, 8) for _ in range(rng.randint(2, 3))]
         parts = [helpers.random_connected_graph(rng, n, rng.randint(0, n)) for n in sizes]
-        g = relabelled_union(rng, parts)
-        components = connected_components(g)
-        interleaved += any(max(c) - min(c) >= len(c) for c in components)
+        g, permutation = helpers.relabelled_union(rng, parts)
+        interleaved += any(max(c) - min(c) >= len(c) for c in connected_components(g))
+        pieces = []
+        offset = 0
+        for part in parts:
+            ids = permutation[offset : offset + part.vertex_count]
+            offset += part.vertex_count
+            original = sorted(ids)
+            rank = {v: i for i, v in enumerate(original)}
+            pieces.append((helpers.relabel(part, [rank[v] for v in ids]), original))
         for solve in (total_domination_number, minimum_maximal_matching):
             whole = solve(g)
             value = nodes = 0
             witness = []
-            for component in components:
-                piece, original = induced_subgraph(g, component)
+            for piece, original in pieces:
                 result = solve(piece)
                 value += result.value
                 nodes += result.stats.nodes

@@ -56,3 +56,21 @@ def test_submodules_resolve_from_a_bare_import():
         check=True,
     )
     assert proc.stdout == f"{domatch.oracles.DEFAULT_MAX_VERTICES}\n"
+
+
+def test_runtime_needs_nothing_beyond_the_standard_library():
+    # The test dependencies are made unimportable before the package loads;
+    # every submodule must still import and the CLI must still run.
+    script = """
+import importlib, pkgutil, sys
+for name in ("networkx", "hypothesis", "pytest", "_pytest"):
+    sys.modules[name] = None
+import domatch
+for module in pkgutil.iter_modules(domatch.__path__):
+    importlib.import_module(f"domatch.{module.name}")
+from domatch import cli
+raise SystemExit(cli.main(["generate", "spider", "2"]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == domatch.serialize_edge_list(domatch.spider(2))
