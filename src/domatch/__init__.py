@@ -52,13 +52,10 @@ _EXPORTS = {
         "SupportClassification",
         "connected_components",
         "girth",
-        "is_connected",
-        "is_cycle_of_length",
         "min_degree",
         "parse_edge_list",
         "serialize_edge_list",
         "support_classification",
-        "triangle_book_parameter",
     ),
     "oracles": (
         "DEFAULT_MAX_VERTICES",
@@ -81,7 +78,6 @@ _EXPORTS = {
         "ExceptionalSixCycle",
         "RecognitionOutcome",
         "Refutation",
-        "build_candidate_matching",
         "check_degree_two_certificate",
         "recognize",
     ),

@@ -1,6 +1,6 @@
 """Immutable simple-graph type plus the structural queries the rest of the
-package builds on: text round-tripping, degrees, connectivity, girth,
-support classification and small-family detection.
+package builds on: text round-tripping, degrees, connectivity, girth and
+support classification.
 
 Vertices are dense integer ids ``0..n-1``.  Optional per-vertex labels are
 kept only for round-tripping named input; every algorithm works on ids.
@@ -297,11 +297,6 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
     return components
 
 
-def is_connected(g: Graph) -> bool:
-    """True when ``g`` has exactly one connected component."""
-    return len(connected_components(g)) == 1
-
-
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or :data:`INFINITE_GIRTH` when acyclic.
 
@@ -344,26 +339,6 @@ def girth(g: Graph) -> int | float:
                     best = dx + dy + 1
         delete([root])
     return best
-
-
-def is_cycle_of_length(g: Graph, n: int) -> bool:
-    """True when ``g`` is a cycle on exactly ``n`` vertices (n >= 3)."""
-    if n < 3 or g.vertex_count != n or g.edge_count != n:
-        return False
-    if any(len(near) != 2 for near in g._adjacency):
-        return False
-    return is_connected(g)
-
-
-def triangle_book_parameter(g: Graph) -> int | None:
-    """Page count when ``g`` is a book of triangles, else ``None``.
-
-    A book of ``n`` triangles consists of an edge ``uv`` plus ``n`` page
-    vertices adjacent to exactly ``u`` and ``v``.
-    """
-    if not is_connected(g):
-        return None
-    return _book_pages(g._adjacency, g.vertices())
 
 
 def _book_pages(adjacency: Sequence[frozenset[int]], vertices: Sequence[int]) -> int | None:

@@ -43,10 +43,7 @@ from .graph import (
     Graph,
     _book_pages,
     connected_components,
-    is_connected,
-    is_cycle_of_length,
     min_degree,
-    triangle_book_parameter,
 )
 from .oracles import Matching, _extending_edge, _validated_edges
 
@@ -118,7 +115,8 @@ def _candidate_edges(
     ``pinned`` indexes the degree-two neighborhoods of ``vertices`` (see
     :func:`~domatch.characterization._pinned_pairs`).  The six vertices
     induce a six-cycle exactly when none of a–b, a–b′, a′–b, a′–b′ is an
-    edge; the other non-edges follow from x and y having degree two.
+    edge; the other non-edges follow from x and y having degree two.  The
+    deduplicated, sorted union is returned; it need not be a matching.
     """
     found: set[Edge] = set()
     for x in vertices:
@@ -147,33 +145,6 @@ def _candidate_edges(
                     found.add(Edge.of(a, a2))
                     found.add(Edge.of(b, b2))
     return tuple(sorted(found))
-
-
-def build_candidate_matching(g: Graph) -> tuple[Edge, ...]:
-    """Middle edges of induced six-cycles through degree-two vertex pairs.
-
-    For every pair of degree-two vertices x, y whose closed neighborhoods
-    union to six vertices inducing a six-cycle, x and y sit antipodally and
-    the two cycle edges touching neither are collected.  The deduplicated,
-    sorted union is returned; it need not be a matching.
-
-    The six-cycles are found by a local walk from each degree-two x with
-    N(x) = {a, b}: over a′ ∈ N(a) and b′ ∈ N(b), the partner y is looked
-    up among the degree-two vertices by its neighborhood {a′, b′}.  The cost
-    is at most O(Σₓ deg(a)·deg(b)) after one O(n) indexing pass, and no
-    graph is rebuilt.
-
-    The graph must be connected and neither a triangle book nor the
-    six-cycle (on those the construction is degenerate).
-    """
-    if not is_connected(g):
-        raise DomainError("graph is not connected")
-    if triangle_book_parameter(g) is not None:
-        raise DomainError("triangle books are excluded from the candidate scan")
-    if is_cycle_of_length(g, 6):
-        raise DomainError("the six-cycle is excluded from the candidate scan")
-    adjacency = g._adjacency
-    return _candidate_edges(adjacency, g.vertices(), _pinned_pairs(adjacency, g.vertices()))
 
 
 #: Condition identifiers of the degree-two checker, in report order.

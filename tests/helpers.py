@@ -22,8 +22,8 @@ from domatch import (
     Edge,
     Graph,
     Matching,
+    connected_components,
     girth,
-    is_connected,
     iter_maximal_matchings,
     min_degree,
     support_classification,
@@ -339,7 +339,7 @@ def random_min_degree_two_graph(rng: random.Random, lo: int = 6, hi: int = 13) -
         else:
             g = random_connected_graph(rng, n, rng.randint(0, n // 2))
             g = _patched_to_min_degree_two(rng, g)
-        if is_connected(g) and min_degree(g) == 2:
+        if len(connected_components(g)) == 1 and min_degree(g) == 2:
             return g
 
 

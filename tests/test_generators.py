@@ -6,6 +6,8 @@ import pytest
 from domatch import (
     DomainError,
     Edge,
+    ExceptionalBook,
+    ExceptionalSixCycle,
     Graph,
     Matching,
     ResourceLimitError,
@@ -14,7 +16,6 @@ from domatch import (
     build_tight_graph,
     check_certificate_conditions,
     check_matching_bound,
-    is_cycle_of_length,
     is_maximal_matching,
     is_tight_graph,
     min_degree,
@@ -59,7 +60,7 @@ def test_subdivided_grid_shape():
         assert g.vertex_count == 4 * n + 2
         assert g.edge_count == 5 * n + 1
         assert min_degree(g) == 2
-    assert is_cycle_of_length(subdivided_grid(1), 6)
+    assert recognize(subdivided_grid(1)).certificates == (ExceptionalSixCycle(),)
     assert subdivided_grid(2).labels == (
         "u0", "u1", "u2", "v0", "v1", "v2", "a0", "a1", "b0", "b1",
     )
@@ -215,7 +216,7 @@ def test_build_attachment_closes_to_triangle():
     # the attachment vertex doubles as the witness for the matched pair
     g, m = build_tight_graph(TightRecipe(1, 1, a_edges=((0, 1),)))
     assert g.vertex_count == 3
-    assert is_cycle_of_length(g, 3)
+    assert recognize(g).certificates == (ExceptionalBook(1),)
     assert is_tight_graph(g)
     assert check_certificate_conditions(g, m).holds
 

@@ -9,17 +9,15 @@ from domatch import (
     DomainError,
     Edge,
     EdgeListFormatError,
+    ExceptionalBook,
     Graph,
     connected_components,
     girth,
-    is_connected,
-    is_cycle_of_length,
     min_degree,
     parse_edge_list,
     recognize,
     serialize_edge_list,
     support_classification,
-    triangle_book_parameter,
 )
 from domatch.generators import cycle, path, spider, subdivided_grid, triangle_book
 
@@ -118,7 +116,7 @@ def test_parse_smallest_path():
 def test_parse_triangle():
     g = parse_edge_list("u v\nu w1\nv w1")
     assert g.vertex_count == 3
-    assert triangle_book_parameter(g) == 1
+    assert recognize(g).certificates == (ExceptionalBook(1),)
 
 
 def test_parse_duplicate_edge_collapses():
@@ -370,9 +368,9 @@ def test_connected_components_ordering():
     ]
 
 
-def test_is_connected():
-    assert is_connected(subdivided_grid(2))
-    assert not is_connected(Graph(2))
+def test_connected_graph_has_one_component():
+    g = subdivided_grid(2)
+    assert connected_components(g) == [frozenset(g.vertices())]
 
 
 @given(small_graphs())
@@ -430,33 +428,7 @@ def test_girth_forest_test(g):
 
 
 # ---------------------------------------------------------------------------
-# small-family detection
-
-
-def test_is_cycle_of_length():
-    assert is_cycle_of_length(cycle(6), 6)
-    assert not is_cycle_of_length(cycle(6), 3)
-    assert is_cycle_of_length(triangle_book(1), 3)
-    assert not is_cycle_of_length(path(4), 4)
-    assert not is_cycle_of_length(Graph(2, [(0, 1)]), 2)
-    assert not is_cycle_of_length(helpers.disjoint_union(cycle(3), cycle(3)), 6)
-
-
-def test_triangle_book_parameter():
-    for n in range(1, 5):
-        assert triangle_book_parameter(triangle_book(n)) == n
-    assert triangle_book_parameter(cycle(3)) == 1
-    assert triangle_book_parameter(cycle(4)) is None
-    assert triangle_book_parameter(cycle(6)) is None
-    k4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    assert triangle_book_parameter(k4) is None
-
-
-def test_triangle_book_parameter_rejects_near_misses():
-    # a pendant vertex breaks the exact-neighborhood requirement
-    g = parse_edge_list("u v\nu w1\nv w1\nw1 t")
-    assert triangle_book_parameter(g) is None
-    assert triangle_book_parameter(helpers.disjoint_union(cycle(3), cycle(3))) is None
+# named families
 
 
 def test_triangle_book_structural_invariants():

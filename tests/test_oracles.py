@@ -14,7 +14,6 @@ from domatch import (
     ResourceLimitError,
     check_matching_bound,
     connected_components,
-    is_connected,
     is_matching,
     is_maximal_matching,
     is_tight_graph,

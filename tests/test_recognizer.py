@@ -10,11 +10,9 @@ from domatch import (
     Graph,
     Matching,
     TightGraphParams,
-    build_candidate_matching,
     check_degree_two_certificate,
     find_certifying_matching,
-    is_connected,
-    is_cycle_of_length,
+    connected_components,
     is_maximal_matching,
     is_tight_graph,
     iter_maximal_matchings,
@@ -23,8 +21,8 @@ from domatch import (
     random_tight_graph,
     recognize,
     total_domination_number,
-    triangle_book_parameter,
 )
+from domatch import characterization, recognizer
 from domatch.generators import cycle, path, spider, subdivided_grid, triangle_book
 from domatch.recognizer import (
     REASON_CONDITION_I,
@@ -40,6 +38,14 @@ from domatch.recognizer import (
 
 import helpers
 from catalogs import connected_catalog
+
+
+def candidate_edges(g):
+    """The candidate scan that ``recognize`` runs, over the whole of ``g``."""
+    adjacency, vertices = g._adjacency, g.vertices()
+    return recognizer._candidate_edges(
+        adjacency, vertices, characterization._pinned_pairs(adjacency, vertices)
+    )
 
 
 def complete_graph(n):
@@ -88,12 +94,12 @@ def grid_with_spoiled_witness():
 
 
 def test_candidate_matching_of_grids_is_the_rungs():
-    assert build_candidate_matching(subdivided_grid(2)) == (
+    assert candidate_edges(subdivided_grid(2)) == (
         Edge(0, 3),
         Edge(1, 4),
         Edge(2, 5),
     )
-    assert build_candidate_matching(subdivided_grid(3)) == (
+    assert candidate_edges(subdivided_grid(3)) == (
         Edge(0, 4),
         Edge(1, 5),
         Edge(2, 6),
@@ -102,57 +108,40 @@ def test_candidate_matching_of_grids_is_the_rungs():
 
 
 def test_candidate_matching_empty_when_no_hexagons():
-    assert build_candidate_matching(cycle(7)) == ()
-    assert build_candidate_matching(cycle(8)) == ()
-    assert build_candidate_matching(helpers.petersen_graph()) == ()
+    assert candidate_edges(cycle(7)) == ()
+    assert candidate_edges(cycle(8)) == ()
+    assert candidate_edges(helpers.petersen_graph()) == ()
 
 
 def test_candidate_matching_shares_endpoints_on_theta():
-    candidate = build_candidate_matching(theta_graph())
+    candidate = candidate_edges(theta_graph())
     assert len(candidate) == 6
     endpoints = [w for e in candidate for w in e]
     assert len(set(endpoints)) < len(endpoints)
 
 
-def test_candidate_matching_preconditions():
-    with pytest.raises(DomainError, match="not connected"):
-        build_candidate_matching(helpers.disjoint_union(cycle(4), cycle(4)))
-    with pytest.raises(DomainError, match="triangle books are excluded"):
-        build_candidate_matching(triangle_book(2))
-    with pytest.raises(DomainError, match="six-cycle is excluded"):
-        build_candidate_matching(cycle(6))
-
-
 def test_candidate_matching_relabeling_invariance():
     base = subdivided_grid(2)
-    expected = set(build_candidate_matching(base))
+    expected = set(candidate_edges(base))
     rng = random.Random(99)
     for _ in range(8):
         perm = list(base.vertices())
         rng.shuffle(perm)
         permuted = helpers.relabel(base, perm)
-        got = build_candidate_matching(permuted)
+        got = candidate_edges(permuted)
         mapped = {Edge.of(perm[e.u], perm[e.v]) for e in expected}
         assert set(got) == mapped
-
-
-def _scannable(g):
-    return (
-        is_connected(g)
-        and triangle_book_parameter(g) is None
-        and not is_cycle_of_length(g, 6)
-    )
 
 
 def test_candidate_matching_is_the_pairwise_definition_on_catalog():
     checked = 0
     for n in range(3, 9):
         for g in connected_catalog(n):
-            if min_degree(g) != 2 or not _scannable(g):
+            if min_degree(g) != 2:
                 continue
-            assert build_candidate_matching(g) == helpers.pairwise_candidate_matching(g)
+            assert candidate_edges(g) == helpers.pairwise_candidate_matching(g)
             checked += 1
-    assert checked == 5263 - 6 - 1  # books on 3..8 vertices and the six-cycle
+    assert checked == 5263  # triangle books and the six-cycle included
 
 
 def test_candidate_matching_is_the_pairwise_definition_on_tight_graphs():
@@ -164,12 +153,10 @@ def test_candidate_matching_is_the_pairwise_definition_on_tight_graphs():
     for params in (leafless, TightGraphParams(max_k2=12, max_a=6, max_vertices=60)):
         for seed in range(12):
             g, _ = random_tight_graph(seed, params)
-            if not _scannable(g):
-                continue
             perm = list(g.vertices())
             rng.shuffle(perm)
             for h in (g, helpers.relabel(g, perm)):
-                got = build_candidate_matching(h)
+                got = candidate_edges(h)
                 assert got == helpers.pairwise_candidate_matching(h)
                 checked += 1
                 hits += bool(got)
@@ -268,10 +255,12 @@ def test_recognize_component_six_cycle():
 
 
 def test_recognize_component_books():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         outcome = recognize(triangle_book(n))
         assert outcome.verdict
         assert outcome.certificates == (ExceptionalBook(pages=n),)
+    # a four-cycle has the book's vertex count but not its spine
+    assert not isinstance(recognize(cycle(4)).certificates[0], ExceptionalBook)
 
 
 def test_recognize_component_grids():
@@ -351,6 +340,13 @@ def test_recognize_splits_components():
     assert second.vertices == tuple(range(6, 16))
 
 
+def test_recognize_splits_two_triangles_into_two_books():
+    outcome = recognize(helpers.disjoint_union(cycle(3), cycle(3)))
+    assert outcome.verdict
+    assert outcome.certificates == (ExceptionalBook(1), ExceptionalBook(1))
+    assert [c.vertices for c in outcome.components] == [(0, 1, 2), (3, 4, 5)]
+
+
 def test_recognize_negative_component_wins():
     outcome = recognize(helpers.disjoint_union(cycle(6), cycle(4)))
     assert not outcome.verdict
@@ -427,7 +423,7 @@ def test_recognizer_agrees_with_oracle_on_small_catalog():
             )
             if condition is not None:
                 # the refutation is the first violation of the failed condition
-                report = check_degree_two_certificate(g, Matching(build_candidate_matching(g)))
+                report = check_degree_two_certificate(g, Matching(candidate_edges(g)))
                 first = next(v for v in report.violations if v.condition == condition)
                 assert (refutation.vertices, refutation.detail) == (first.vertices, first.message)
                 refuted[condition] += 1
@@ -515,7 +511,7 @@ def test_long_cycle_is_refuted_as_not_maximal(monkeypatch):
 
 def test_large_leafless_tight_graph_is_accepted(monkeypatch):
     g, embedded = random_tight_graph(4, LEAFLESS)
-    assert g.vertex_count >= 150 and is_connected(g)
+    assert g.vertex_count >= 150 and len(connected_components(g)) == 1
     outcome = recognize_building_no_graph(g, monkeypatch)
     (certificate,) = outcome.certificates
     assert outcome.verdict
