@@ -10,6 +10,7 @@ from domatch import (
     Edge,
     EdgeListFormatError,
     ExceptionalBook,
+    ExceptionalSixCycle,
     Graph,
     connected_components,
     girth,
@@ -429,6 +430,29 @@ def test_girth_forest_test(g):
 
 # ---------------------------------------------------------------------------
 # named families
+
+
+def test_is_cycle_of_length():
+    # recognize tells the six-cycle and the triangle apart per component
+    assert recognize(cycle(6)).certificates == (ExceptionalSixCycle(),)
+    assert recognize(triangle_book(1)).certificates == (ExceptionalBook(1),)
+    two_triangles = recognize(helpers.disjoint_union(cycle(3), cycle(3)))
+    assert two_triangles.certificates == (ExceptionalBook(1), ExceptionalBook(1))
+    for g in (path(4), Graph(2, [(0, 1)])):
+        with pytest.raises(DomainError, match="minimum degree 1"):
+            recognize(g)
+
+
+def test_triangle_book_parameter():
+    for n in range(1, 5):
+        assert recognize(triangle_book(n)).certificates == (ExceptionalBook(n),)
+    assert recognize(cycle(3)).certificates == (ExceptionalBook(1),)
+    # a four-cycle has the book's vertex count but not its spine
+    assert not isinstance(recognize(cycle(4)).certificates[0], ExceptionalBook)
+    assert recognize(cycle(6)).certificates == (ExceptionalSixCycle(),)
+    k4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    with pytest.raises(DomainError, match="minimum degree 3"):
+        recognize(k4)
 
 
 def test_triangle_book_structural_invariants():
