@@ -16,8 +16,13 @@ bounded by the recursion limit) and counts nodes.  Each solver brings only
 its masks, open neighborhoods for γ_t and edge kill sets for μ* (bit i is
 the component's i-th vertex or edge), and its bound: one pass over what is
 still undominated that caps the next pick and counts a greedy packing (the
-domination solver tries an O(1) count bound first).  The cuts lose no
-solution, so witnesses are those of the unpruned search.  μ* is the first
+domination solver tries an O(1) count bound first).  The pass visits
+elements in an order fixed once per component, fewest possible settlers
+first (degree for γ_t, kill-set size for μ*) and ties by index, so the
+packing meets its tightest elements first.  The cap is the least, over
+undominated elements, of their largest settler still allowed, and an
+element with none cuts the branch.  The cuts lose no solution, so
+witnesses are those of the unpruned search.  μ* is the first
 hit of :func:`_maximal_matchings`, which also lists every maximal matching
 for :func:`~domatch.characterization.iter_maximal_matchings`; the
 certificate search prunes by the certificate conditions and needs no μ*.
@@ -125,6 +130,8 @@ def _require_no_isolated(g: Graph) -> None:
 
 def _check_size(g: Graph, max_vertices: int | None) -> None:
     limit = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
+    if limit < 1:
+        raise DomainError(f"solver vertex limit {limit} is below 1")
     if g.vertex_count > limit:
         raise ResourceLimitError(f"{g.vertex_count} vertices exceeds the solver limit of {limit}")
 
@@ -251,17 +258,22 @@ def _solve_total_domination(
     an edge, and the search nodes it took.
 
     Any vertex may be picked, and dominates its open neighborhood.  The
-    next pick is at most the smallest largest neighbor of an undominated
-    vertex.  Undominated vertices with pairwise disjoint neighborhoods
-    among the allowed ones need a pick each; the O(1) count bound (a pick
-    dominates at most ``max_cover`` vertices) is tried before that greedy
-    packing, and on the whole component the larger bound is the first size.
+    next pick is at most the smallest largest allowed neighbor of an
+    undominated vertex, and an undominated vertex with no allowed neighbor
+    cuts the branch.  Undominated vertices with pairwise disjoint
+    neighborhoods among the allowed ones need a pick each; the greedy
+    packing takes them lowest degree first, ties by index.  The O(1) count
+    bound (a pick dominates at most ``max_cover`` vertices) is tried before
+    that packing, and on the whole component the larger bound is the first
+    size.
     """
     position = {v: i for i, v in enumerate(vertices)}
     nbr = [sum(1 << position[w] for w in adjacency[v]) for v in vertices]
     n = len(nbr)
-    max_dominator = [m.bit_length() - 1 for m in nbr]
     max_cover = max(m.bit_count() for m in nbr)
+    # (bit, neighborhood) per vertex, fewest dominators first, ties by index
+    order = sorted(range(n), key=lambda u: nbr[u].bit_count())
+    packing = [(1 << u, nbr[u]) for u in order]
 
     def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int]:
         # (cap on the next pick, picks still needed), stopping once need > slots
@@ -271,18 +283,19 @@ def _solve_total_domination(
             return cap, least
         need = 0
         used = 0
-        while undominated:
-            low = undominated & -undominated
-            u = low.bit_length() - 1
-            undominated ^= low
-            if max_dominator[u] < cap:
-                cap = max_dominator[u]
-            reach = nbr[u] & allowed
-            if reach & used == 0:
-                used |= reach
-                need += 1
-                if need > slots:
-                    break
+        for bit, dominators in packing:
+            if undominated & bit:
+                reach = dominators & allowed
+                if not reach:
+                    return -1, 0
+                top = reach.bit_length() - 1
+                if top < cap:
+                    cap = top
+                if reach & used == 0:
+                    used |= reach
+                    need += 1
+                    if need > slots:
+                        break
         return cap, max(need, least)
 
     full = (1 << n) - 1
@@ -320,14 +333,19 @@ def _maximal_matchings(
     A maximal edge set leaves no edge with both ends uncovered
     ("undominated").  Only undominated edges are picked, and a pick
     dominates the edges it kills, so picks stay a matching.  The next pick
-    is at most the smallest ``max_killer`` of an undominated edge.  A pick
+    is at most the smallest largest allowed killer of an undominated edge,
+    and an undominated edge with no allowed killer cuts the branch.  A pick
     settles at most two of a set of vertex-disjoint undominated edges, and
     at most one of a set whose kill sets within the allowed edges are
-    pairwise disjoint; the larger greedy count is the picks still needed.
+    pairwise disjoint; both greedy packings take edges with the smallest
+    kill sets first, ties by index, and the larger count is the picks still
+    needed.
     """
     edges, _, kill, ends = _edge_masks(adjacency, vertices)
     m = len(kill)
-    max_killer = [k.bit_length() - 1 for k in kill]
+    # (bit, kill set, ends) per edge, fewest killers first, ties by index
+    order = sorted(range(m), key=lambda i: kill[i].bit_count())
+    packing = [(1 << i, kill[i], ends[i]) for i in order]
 
     def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int]:
         # (cap on the next pick, picks still needed), stopping once need > slots
@@ -335,23 +353,24 @@ def _maximal_matchings(
         disjoint = packed = 0
         covered = killed = 0
         limit = 2 * slots
-        while undominated:
-            low = undominated & -undominated
-            i = low.bit_length() - 1
-            undominated ^= low
-            if max_killer[i] < cap:
-                cap = max_killer[i]
-            if ends[i] & covered == 0:
-                covered |= ends[i]
-                disjoint += 1
-                if disjoint > limit:
-                    break
-            reach = kill[i] & allowed
-            if reach & killed == 0:
-                killed |= reach
-                packed += 1
-                if packed > slots:
-                    break
+        for bit, killers, pair in packing:
+            if undominated & bit:
+                reach = killers & allowed
+                if not reach:
+                    return -1, 0
+                top = reach.bit_length() - 1
+                if top < cap:
+                    cap = top
+                if pair & covered == 0:
+                    covered |= pair
+                    disjoint += 1
+                    if disjoint > limit:
+                        break
+                if reach & killed == 0:
+                    killed |= reach
+                    packed += 1
+                    if packed > slots:
+                        break
         return cap, max(packed, -(-disjoint // 2))
 
     full = (1 << m) - 1

@@ -299,6 +299,41 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int = 0) -> 
     return Graph(n, edges)
 
 
+def sparse_graph(seed: int, n: int, extra: int, min_deg: int) -> Graph:
+    """Connected random graph: a random tree, ``extra`` more edges, then
+    edges from every vertex of degree below ``min_deg``.  The recipe of the
+    benchmark's ``sparse`` instances, so the same parameters give the same
+    graph."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    degree = [0] * n
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    for v in range(n):
+        while degree[v] < min_deg:
+            w = rng.randrange(n)
+            e = (min(v, w), max(v, w))
+            if w != v and e not in edges:
+                edges.add(e)
+                degree[v] += 1
+                degree[w] += 1
+    return Graph(n, sorted(edges))
+
+
+#: ``sparse_graph`` parameters (seed, n, extra, min_deg) of the benchmark's
+#: exact-solve pool: 22..30 vertices, minimum degree asked 0, 2 or 3.
+BENCH_SCALE_SPARSE = (
+    (0, 26, 10, 0), (0, 28, 12, 2), (0, 24, 0, 3), (1, 28, 12, 2),
+    (2, 22, 8, 0), (2, 26, 0, 3), (3, 26, 10, 0), (3, 28, 12, 2),
+    (4, 24, 0, 3), (5, 24, 0, 3), (6, 26, 10, 0), (7, 26, 0, 3),
+    (5, 28, 0, 3), (2, 30, 12, 2), (3, 30, 12, 2),
+)
+
+
 def _patched_to_min_degree_two(rng: random.Random, g: Graph) -> Graph:
     """Add edges at degree-deficient vertices until every degree is >= 2."""
     n = g.vertex_count

@@ -414,6 +414,20 @@ def test_vertex_limit_resolution(tmp_path, capsys, monkeypatch):
     assert "is not an integer" in capsys.readouterr().err
 
 
+def test_vertex_limit_below_one_is_rejected_from_the_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(MAX_VERTICES_ENV, raising=False)
+    rc = main(["gamma-t", write_graph(tmp_path, k4()), "--max-vertices", "-5"])
+    assert rc == 2
+    assert "error: solver vertex limit -5 is below 1" in capsys.readouterr().err
+
+
+def test_vertex_limit_below_one_is_rejected_from_the_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(MAX_VERTICES_ENV, "0")
+    rc = main(["mu-star", write_graph(tmp_path, k4())])
+    assert rc == 2
+    assert "error: solver vertex limit 0 is below 1" in capsys.readouterr().err
+
+
 def test_max_vertices_help_names_the_default(capsys):
     assert main(["gamma-t", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())

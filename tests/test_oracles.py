@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import sys
@@ -195,8 +196,10 @@ def test_solvers_match_brute_force_on_relabelled_random_graphs():
 def test_solver_node_ceilings():
     # Deterministic counters, never seconds.  cycle(60) comes last: a search
     # without the packing bounds exceeds the earlier ceilings first instead of
-    # running for minutes.
-    assert total_domination_number(spider(10), max_vertices=64).stats.nodes <= 2_000
+    # running for minutes.  spider(10) takes 31 nodes, and 301 when the
+    # packing visits undominated vertices in index order, not fewest
+    # dominators first.
+    assert total_domination_number(spider(10), max_vertices=64).stats.nodes <= 100
     assert total_domination_number(subdivided_grid(7), max_vertices=64).stats.nodes <= 20_000
     assert minimum_maximal_matching(cycle(32), max_vertices=64).stats.nodes <= 1_000
     result = minimum_maximal_matching(cycle(60), max_vertices=60)
@@ -206,11 +209,40 @@ def test_solver_node_ceilings():
 
 def test_solver_node_totals_on_the_small_catalog():
     # Deterministic counters over the 995 connected graphs on 2..7 vertices.
-    # Dropping either solver's cap or packing bound makes its total grow.
+    # Dropping either solver's cap or packing bound makes its total grow, and
+    # so does packing in index order (6,641 and 14,773).
     graphs = [g for n in range(2, 8) for g in connected_catalog(n)]
     assert len(graphs) == 995
-    assert sum(total_domination_number(g).stats.nodes for g in graphs) == 6_641
-    assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 14_955
+    assert sum(total_domination_number(g).stats.nodes for g in graphs) == 5_941
+    assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 13_521
+
+
+def test_solver_witnesses_and_nodes_at_bench_scale():
+    # The brute-force comparisons stop at 11 vertices; these graphs have 22 to
+    # 30, as in the exact-solve benchmark.  The digests pin every value and
+    # lexicographically least witness, so a prune that cuts a solution, or
+    # changes which optimum comes first, fails here; the node totals are
+    # deterministic counters of the same searches.
+    lines = {"gamma_t": [], "mu_star": []}
+    nodes = {"gamma_t": 0, "mu_star": 0}
+    degrees = set()
+    for params in helpers.BENCH_SCALE_SPARSE:
+        g = helpers.sparse_graph(*params)
+        assert len(connected_components(g)) == 1 and 22 <= g.vertex_count <= 30
+        degrees.add(min_degree(g))
+        gamma_t = total_domination_number(g, max_vertices=30)
+        mu_star = minimum_maximal_matching(g, max_vertices=30)
+        lines["gamma_t"].append(f"{params} {gamma_t.value} {sorted(gamma_t.witness)}")
+        lines["mu_star"].append(f"{params} {mu_star.value} {[(e.u, e.v) for e in mu_star.witness]}")
+        nodes["gamma_t"] += gamma_t.stats.nodes
+        nodes["mu_star"] += mu_star.stats.nodes
+    digests = {k: hashlib.sha256("\n".join(v).encode()).hexdigest() for k, v in lines.items()}
+    assert digests == {
+        "gamma_t": "97af8a51ee3b26dc8e8b4414468ad99264ed90bba956c5643590d230d960a29d",
+        "mu_star": "763d6a9e4d2a43ae0eafc8099d731e7508e549b96589383dcb5cf359c02b0476",
+    }
+    assert degrees == {1, 2, 3}
+    assert nodes == {"gamma_t": 2_084, "mu_star": 14_992}
 
 
 def test_solver_search_depth_is_not_bounded_by_recursion():
