@@ -198,40 +198,42 @@ def parse_edge_list(text: str) -> Graph:
     """
     index: dict[str, int] = {}
     adjacency: list[set[int]] = []
-
-    def vertex_id(token: str, lineno: int) -> int:
-        # First sight of ``token``: check it once, then give it the next id.
-        if token.startswith("#") or token == _HEADER_TOKEN:
-            raise EdgeListFormatError(f"line {lineno}: label {token!r} is ambiguous in this format")
-        index[token] = v = len(adjacency)
-        adjacency.append(set())
-        return v
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
+    lines = text.splitlines()
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+        # Fast case: two known, different labels (reserved tokens are never known).
+        try:
+            a, b = tokens
+            u, v = index[a], index[b]
+        except (ValueError, KeyError):
+            pass
+        else:
+            if u != v:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+                continue
         if not tokens or tokens[0].startswith("#"):
             continue
-        if tokens[0] == _HEADER_TOKEN:
-            for token in tokens[1:]:
-                if token not in index:
-                    vertex_id(token, lineno)
-            continue
-        if len(tokens) != 2:
-            line = raw.strip()
+        header = tokens[0] == _HEADER_TOKEN
+        if header:
+            tokens = tokens[1:]
+        elif len(tokens) != 2:
+            line = lines[lineno - 1].strip()
             if len(tokens) < 2:
                 raise EdgeListFormatError(f"line {lineno}: expected two vertex labels, got {line!r}")
             raise EdgeListFormatError(f"line {lineno}: unexpected extra tokens in {line!r}")
-        a, b = tokens
-        if a == b:
+        elif a == b:
             raise EdgeListFormatError(f"line {lineno}: self-loop at {a!r}")
-        u = index.get(a)
-        if u is None:
-            u = vertex_id(a, lineno)
-        v = index.get(b)
-        if v is None:
-            v = vertex_id(b, lineno)
-        adjacency[u].add(v)
-        adjacency[v].add(u)
+        for token in tokens:  # a label's first sight checks it and gives it the next id
+            if token not in index:
+                if token.startswith("#") or token == _HEADER_TOKEN:
+                    raise EdgeListFormatError(
+                        f"line {lineno}: label {token!r} is ambiguous in this format"
+                    )
+                index[token] = len(adjacency)
+                adjacency.append(set())
+        if not header:
+            adjacency[index[a]].add(index[b])
+            adjacency[index[b]].add(index[a])
     return Graph._from_checked(adjacency, tuple(index))
 
 
@@ -276,23 +278,20 @@ def support_classification(g: Graph) -> SupportClassification:
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, ordered by smallest id."""
+    """Vertex sets of the connected components, ordered by smallest id.  Each
+    grows over a list read as it grows, by one set difference per vertex."""
     adjacency = g._adjacency
     seen: set[int] = set()
     components: list[frozenset[int]] = []
     for start in g.vertices():
         if start in seen:
             continue
-        queue = deque([start])
-        seen.add(start)
-        group = {start}
-        while queue:
-            x = queue.popleft()
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    group.add(y)
-                    queue.append(y)
+        group, queue = {start}, [start]
+        for x in queue:
+            fresh = adjacency[x] - group
+            group |= fresh
+            queue += fresh
+        seen |= group
         components.append(frozenset(group))
     return components
 
@@ -341,17 +340,16 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-def _book_pages(adjacency: Sequence[frozenset[int]], vertices: Sequence[int]) -> int | None:
-    """Page count when ``vertices``, a whole connected component of the
-    graph with this ``adjacency``, form a triangle book, else ``None``.
+def _book_pages(degrees: Sequence[int]) -> int | None:
+    """Page count when the vertices of a whole connected component, with
+    these ``degrees``, form a triangle book, else ``None``.
 
     A book on k ≥ 3 vertices has 2k − 3 edges, and its two spine vertices,
     adjacent to all others, already account for all of them; conversely
     two such vertices and 2k − 3 edges leave every other vertex adjacent to
     exactly the spine.  So the edge count and the degree k − 1 decide it.
     """
-    k = len(vertices)
-    degrees = [len(adjacency[v]) for v in vertices]
+    k = len(degrees)
     if k >= 3 and sum(degrees) == 2 * (2 * k - 3) and degrees.count(k - 1) >= 2:
         return k - 2
     return None

@@ -28,6 +28,7 @@ public checker reports all of it, and a refutation is its first item, so
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .characterization import (
@@ -118,7 +119,7 @@ def _candidate_edges(
     edge; the other non-edges follow from x and y having degree two.  The
     deduplicated, sorted union is returned; it need not be a matching.
     """
-    found: set[Edge] = set()
+    found: set[tuple[int, int]] = set()
     for x in vertices:
         if len(adjacency[x]) != 2:
             continue
@@ -142,9 +143,9 @@ def _candidate_edges(
                     and b2 not in near_a
                     and b2 not in near_a2
                 ):
-                    found.add(Edge.of(a, a2))
-                    found.add(Edge.of(b, b2))
-    return tuple(sorted(found))
+                    found.add((a, a2) if a < a2 else (a2, a))
+                    found.add((b, b2) if b < b2 else (b2, b))
+    return tuple(map(tuple.__new__, repeat(Edge), sorted(found)))
 
 
 #: Condition identifiers of the degree-two checker, in report order.
@@ -195,12 +196,13 @@ def _component_certificate(
     adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
 ) -> Certificate:
     """Certificate for one connected component, given as sorted ``vertices``."""
-    if min(len(adjacency[v]) for v in vertices) != 2:
+    degrees = list(map(len, map(adjacency.__getitem__, vertices)))
+    if min(degrees) != 2:
         return Refutation(REASON_MIN_DEGREE, (), "component has minimum degree above two")
-    pages = _book_pages(adjacency, vertices)
+    pages = _book_pages(degrees)
     if pages is not None:
         return ExceptionalBook(pages)
-    if len(vertices) == 6 and all(len(adjacency[v]) == 2 for v in vertices):
+    if len(vertices) == 6 and max(degrees) == 2:
         return ExceptionalSixCycle()
     pinned = _pinned_pairs(adjacency, vertices)
     candidate = _candidate_edges(adjacency, vertices, pinned)

@@ -184,11 +184,16 @@ _BLANK = st.sampled_from(["", " ", "\t", " \t "])
 _GAP = st.sampled_from([" ", "\t", "  ", " \t"])
 
 
+#: Tokens the format reserves: a comment mark and the header keyword.
+_RESERVED = st.sampled_from(["#", "#b", "vertices:"])
+
+
 @st.composite
 def edge_list_texts(draw):
     """Edge-list text with comments, blank lines, odd whitespace, repeated
-    and flipped edges, and at most one header that may name isolated
-    vertices."""
+    and flipped edges, and any number of headers anywhere, which may repeat
+    labels and name isolated vertices.  Half the texts also hold malformed
+    lines: one or three tokens, self-loops, reserved tokens as labels."""
     names = draw(
         st.lists(
             st.text(alphabet="abxy01_:#", min_size=1, max_size=3).filter(
@@ -199,40 +204,65 @@ def edge_list_texts(draw):
             unique=True,
         )
     )
-    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
-        lambda p: p[0] != p[1]
-    )
+    label = st.sampled_from(names)
+    pairs = st.tuples(label, label).filter(lambda p: p[0] != p[1])
     lines = [draw(_GAP).join(p) for p in draw(st.lists(pairs, max_size=15))]
-    if draw(st.booleans()):
-        header = draw(st.lists(st.sampled_from(names), max_size=len(names)))
+    broken = draw(st.booleans())
+    header_label = st.one_of(label, _RESERVED) if broken else label
+    for header in draw(st.lists(st.lists(header_label, max_size=len(names) + 1), max_size=3)):
         lines.insert(draw(st.integers(0, len(lines))), " ".join(["vertices:", *header]))
     for extra in draw(st.lists(st.sampled_from(["", "#", "# a b c", "\t# x"]), max_size=4)):
         lines.insert(draw(st.integers(0, len(lines))), extra)
+    if broken:
+        bad_lines = st.one_of(
+            label,
+            st.lists(label, min_size=3, max_size=3).map(" ".join),
+            st.tuples(label, _GAP).map(lambda p: p[1].join([p[0], p[0]])),
+            st.tuples(label, _RESERVED).map(" ".join),
+        )
+        for bad in draw(st.lists(bad_lines, min_size=1, max_size=3)):
+            lines.insert(draw(st.integers(0, len(lines))), bad)
     lines = [draw(_BLANK) + line + draw(_BLANK) for line in lines]
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
 
 def tokenized_graph(text):
-    """The graph ``text`` describes, read by this test's own tokenizer."""
+    """What ``text`` describes, read by this test's own tokenizer: the
+    graph, or the error message for its first bad line."""
     ids: dict[str, int] = {}
     pairs = []
-    for line in text.split("\n"):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
         if tokens[0] == "vertices:":
-            for token in tokens[1:]:
-                ids.setdefault(token, len(ids))
+            named = tokens[1:]
+        elif len(tokens) == 1:
+            return f"line {lineno}: expected two vertex labels, got {line.strip()!r}"
+        elif len(tokens) > 2:
+            return f"line {lineno}: unexpected extra tokens in {line.strip()!r}"
+        elif tokens[0] == tokens[1]:
+            return f"line {lineno}: self-loop at {tokens[0]!r}"
         else:
-            a, b = (ids.setdefault(token, len(ids)) for token in tokens)
-            pairs.append((a, b))
+            named = tokens
+        for token in named:
+            if token not in ids and (token.startswith("#") or token == "vertices:"):
+                return f"line {lineno}: label {token!r} is ambiguous in this format"
+            ids.setdefault(token, len(ids))
+        if named is tokens:
+            pairs.append((ids[tokens[0]], ids[tokens[1]]))
     return Graph(len(ids), pairs, labels=list(ids))
 
 
 @given(edge_list_texts())
 def test_parse_agrees_with_constructor(text):
-    g = parse_edge_list(text)
     expected = tokenized_graph(text)
+    if isinstance(expected, str):
+        with pytest.raises(EdgeListFormatError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == expected
+        return
+    g = parse_edge_list(text)
     # edge_count and repr must not depend on whether edges() has run yet.
     assert g.edge_count == expected.edge_count
     assert repr(g) == repr(expected)
@@ -244,6 +274,12 @@ def test_parse_agrees_with_constructor(text):
     assert list(g.edges()) == sorted(set(g.edges()))
     assert g.edge_count == expected.edge_count == len(g.edges())
     assert repr(g) == repr(expected)
+
+
+def test_parse_self_loop_between_known_labels():
+    with pytest.raises(EdgeListFormatError) as info:
+        parse_edge_list("vertices: a b\na b\nb a\n\nb  b\n")
+    assert str(info.value) == "line 5: self-loop at 'b'"
 
 
 @pytest.mark.parametrize(
@@ -374,14 +410,53 @@ def test_connected_graph_has_one_component():
     assert connected_components(g) == [frozenset(g.vertices())]
 
 
-@given(small_graphs())
-def test_components_partition(g):
-    comps = connected_components(g)
+def check_components(g, comps):
+    """``comps`` are the components of ``g`` by definition: they partition
+    the vertices, no edge leaves one, a walk inside each reaches all of it,
+    and they come ordered by smallest id."""
     union = set()
     for c in comps:
+        assert type(c) is frozenset
         assert not (union & c)
         union |= c
+        assert all(g.neighbors(v) <= c for v in c)
+        start = min(c)
+        reached, stack = {start}, [start]
+        while stack:
+            for y in g.neighbors(stack.pop()) - reached:
+                reached.add(y)
+                stack.append(y)
+        assert reached == c
     assert union == set(g.vertices())
+    smallest = [min(c) for c in comps]
+    assert smallest == sorted(set(smallest))
+
+
+@given(small_graphs())
+def test_components_partition(g):
+    check_components(g, connected_components(g))
+
+
+@pytest.mark.parametrize(
+    "build, count",
+    [
+        (lambda: triangle_book(2000), 1),
+        (lambda: cycle(4000), 1),
+        (
+            lambda: helpers.disjoint_union(
+                helpers.disjoint_union(Graph(3), triangle_book(30)),
+                helpers.disjoint_union(Graph(4, [(1, 3)]), cycle(60)),
+            ),
+            8,
+        ),
+    ],
+    ids=["book-hubs", "long-cycle", "isolated-union"],
+)
+def test_components_of_fixed_graphs(build, count):
+    g = build()
+    comps = connected_components(g)
+    assert len(comps) == count
+    check_components(g, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,12 @@ from catalogs import connected_catalog
 def candidate_edges(g):
     """The candidate scan that ``recognize`` runs, over the whole of ``g``."""
     adjacency, vertices = g._adjacency, g.vertices()
-    return recognizer._candidate_edges(
+    found = recognizer._candidate_edges(
         adjacency, vertices, characterization._pinned_pairs(adjacency, vertices)
     )
+    assert all(type(e) is Edge and e.u < e.v for e in found)
+    assert list(found) == sorted(set(found))
+    return found
 
 
 def complete_graph(n):
