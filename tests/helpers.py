@@ -141,6 +141,59 @@ def minimum_certifying_matching(g: Graph) -> Matching | None:
     return None
 
 
+def definition_conditions(
+    g: Graph, edges
+) -> tuple[dict[str, bool], list[tuple[str, tuple[int, ...], tuple[Edge, ...]]]]:
+    """The four certificate conditions of a maximal matching, read off the
+    partition sets M⁺/M⁻/M* and S⁺/S⁻ directly.
+
+    Returns the verdict of each condition and its witnesses as
+    ``(condition, vertices, edges)`` in report order.  Every sub-check is
+    kept, also those a maximal matching cannot fail: (i) asks that ``V(M⁺)``
+    be ``S⁺`` from both sides, (ii) that ``S⁻`` lie in ``V(M⁻)`` and that
+    every ``M⁻`` edge join ``S⁻`` to a non-support vertex.  (iii) asks that
+    each vertex of ``S⁻ ∪ V(M*)`` see exactly its partner among matched
+    vertices, (iv) that any two of them with a common neighbor have their
+    partners as the whole neighborhood of some vertex.
+    """
+    vertices = list(g.vertices())
+    sup = {w for v in vertices if g.degree(v) == 1 for w in g.neighbors(v)}
+    s_plus = {v for v in sup if g.neighbors(v) & sup}
+    s_minus = sup - s_plus
+    partner = {}
+    for e in edges:
+        partner[e.u], partner[e.v] = e.v, e.u
+    sides = {0: [], 1: [], 2: []}
+    for e in sorted(edges):
+        sides[(e.u in sup) + (e.v in sup)].append(e)
+    m_plus, m_minus, m_star = sides[2], sides[1], sides[0]
+    plus_ends = {w for e in m_plus for w in e}
+    minus_ends = {w for e in m_minus for w in e}
+
+    found: list[tuple[str, tuple[int, ...], tuple[Edge, ...]]] = []
+    for bad in (s_plus - plus_ends, plus_ends - s_plus):
+        if bad:
+            found.append(("i", tuple(sorted(bad)), ()))
+    if s_minus - minus_ends:
+        found.append(("ii", tuple(sorted(s_minus - minus_ends)), ()))
+    # an M⁻ edge has one support end; it must lie in S⁻
+    crooked = [e for e in m_minus if not set(e) & s_minus]
+    if crooked:
+        found.append(("ii", (), tuple(crooked)))
+    pool = sorted(s_minus | {w for e in m_star for w in e})
+    for v in pool:
+        seen = g.neighbors(v) & set(partner)
+        if seen != {partner.get(v)}:
+            found.append(("iii", (v, *sorted(seen)), ()))
+    for u, v in itertools.combinations(pool, 2):
+        if g.neighbors(u) & g.neighbors(v):
+            wanted = {partner[u], partner[v]}
+            if not any(g.neighbors(w) == wanted for w in vertices):
+                found.append(("iv", (u, v), ()))
+    failed = {name for name, _, _ in found}
+    return {c: c not in failed for c in ("i", "ii", "iii", "iv")}, found
+
+
 def edge_domination_check(g: Graph, m: Matching) -> bool:
     """True iff every edge outside ``m`` shares an endpoint with some edge in ``m``.
 

@@ -178,6 +178,31 @@ def test_condition_iv_needs_exact_witness_neighborhood():
     assert any(v.condition == "iv" for v in report.violations)
 
 
+def test_conditions_match_their_definition_on_every_small_maximal_matching():
+    # A maximal matching covers every support, since the edge to a leaf must
+    # be covered, and no S⁻ vertex is matched to a support; so (i) fails
+    # exactly when some S⁺ vertex is matched outside the support, and then
+    # (ii) names that edge.
+    checked = split = 0
+    for n in range(2, 8):
+        for g in connected_catalog(n):
+            if min_degree(g) not in (1, 2):
+                continue
+            sup = support_classification(g).sup
+            for m in helpers.include_exclude_maximal_matchings(g):
+                verdicts, witnesses = helpers.definition_conditions(g, m)
+                report = check_certificate_conditions(g, m)
+                assert report.verdicts == verdicts, (g.edges(), m)
+                assert [(v.condition, v.vertices, v.edges) for v in report.violations] == (
+                    witnesses
+                ), (g.edges(), m)
+                assert sup <= m.covered
+                assert verdicts["i"] == verdicts["ii"]
+                checked += 1
+                split += not verdicts["i"]
+    assert (checked, split) == (12014, 447)
+
+
 # ---------------------------------------------------------------------------
 # maximal-matching enumeration
 
