@@ -9,16 +9,18 @@ matchings, searches for a certificate, and builds the small total
 dominating set that a maximal matching yields when the minimum degree is
 three or more.
 
-Each checker is one stream of :class:`Violation` objects in report order;
-a condition holds when no violation names it.  A certificate M forces
-γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so every certificate of a graph has the same
-size and the search never computes μ*: it picks edges in ascending index
-order over all sizes, and conditions (i)–(iii) decide while it picks
-which edges may be taken and which vertices must stay unmatched.  Each
-maximal matching it reaches gets the full check.  Conditions (iii)/(iv)
-are local checks over a vertex pool.  Without leaves that pool is the set
-of matched vertices, and the same checks are the recognizer's degree-two
-conditions (i)/(ii); both run one engine here.
+Every check reads one stream of :class:`Violation` objects in report
+order (maximality, (i)/(ii), (iii)/(iv)); a condition holds when no
+violation names it.  A maximal matching covers every support, as the
+edge to each leaf is covered, and matches no ``S⁻`` vertex to a support,
+so (i) and (ii) fail together, exactly when an ``S⁺`` vertex is matched
+outside the support.  Without leaves (iii)/(iv) over the matched vertices
+are the recognizer's degree-two conditions (i)/(ii).  A certificate M
+forces γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so every certificate of a graph has the
+same size and the search never computes μ*: it picks edges in ascending
+index order over all sizes, and conditions (i)–(iii) decide while it
+picks which edges may be taken and which vertices must stay unmatched.
+Each maximal matching it reaches gets the full check.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .graph import (
 from .oracles import (
     Matching,
     _edge_masks,
+    _extending_edge,
     _maximal_matchings,
     _validated_edges,
     is_maximal_matching,
@@ -115,14 +118,6 @@ def _partition(m: Matching, support: SupportClassification) -> MatchingPartition
     return MatchingPartition(tuple(plus), tuple(minus), tuple(star))
 
 
-def _covered_by(edges: tuple[Edge, ...]) -> set[int]:
-    vertices: set[int] = set()
-    for e in edges:
-        vertices.add(e.u)
-        vertices.add(e.v)
-    return vertices
-
-
 def _pinned_pairs(
     adjacency: Sequence[frozenset[int]], vertices: Iterable[int]
 ) -> dict[int, set[int]]:
@@ -145,30 +140,59 @@ def _report(ids: Sequence[str], violations: Iterable[Violation]) -> ConditionRep
     return ConditionReport({c: c not in failed for c in ids}, found)
 
 
-def _local_violations(
+def _certificate_violations(
     adjacency: Sequence[frozenset[int]],
+    vertices: Sequence[int],
+    support: SupportClassification,
     pinned: Mapping[int, set[int]],
     m: Matching,
-    pool: list[int],
-    exact_id: str,
-    witness_id: str,
+    local_ids: tuple[str, str] = ("iii", "iv"),
 ) -> Iterator[Violation]:
-    """The two local certificate conditions over the sorted vertex ``pool``.
+    """Violations of the certificate conditions by ``m`` on the sorted
+    ``vertices``, in report order.
 
-    ``exact_id``: every pool vertex sees exactly one matched vertex, its
-    partner.  ``witness_id``: whenever two pool vertices u, v share a
-    neighbor, some vertex has neighborhood exactly {p(u), p(v)}, looked up
-    in ``pinned`` (see :func:`_pinned_pairs`).  Yields a :class:`Violation`
-    per failure, every ``exact_id`` one first, then pairs in sorted (u, v)
-    order.  These are conditions (iii)/(iv) over ``S⁻ ∪ V(M*)``; on a
-    leafless graph the pool is ``V(M)`` and they are the degree-two
-    conditions (i)/(ii).  Pairs sharing a neighbor are found by walking the
-    pool's neighbors, so no pair without a common neighbor is ever looked at.
+    First ``maximal``: the least edge that could extend ``m``.  The rest
+    reads partners, which a maximal matching has for every support, so
+    with supports only a first ``maximal`` item may be read.  Then (i)/(ii)
+    from one scan of ``S⁺``: its vertices matched outside the support, and
+    their edges.  Last, under ``local_ids``, the local conditions over the
+    sorted pool ``S⁻ ∪ V(M*)``, which is ``V(M)`` without supports: each
+    pool vertex sees exactly one matched vertex, its partner; then, in
+    sorted (u, v) order, pool vertices u, v sharing a neighbor need some
+    vertex with neighborhood exactly {p(u), p(v)}, looked up in ``pinned``
+    (see :func:`_pinned_pairs`).  Such pairs are found by walking the
+    pool's neighbors, so no pair without a common neighbor is looked at.
     """
+    covered = m.covered
+    extending = _extending_edge(adjacency, vertices, covered)
+    if extending is not None:
+        message = f"edge {extending.u}-{extending.v} could extend the matching"
+        yield Violation("maximal", (), (extending,), message)
+
     partner = m._partner
-    matched = m.covered
+    sup = support.sup
+    stray = [v for v in sorted(support.s_plus) if partner[v] not in sup]
+    if stray:
+        yield Violation(
+            "i",
+            tuple(stray),
+            (),
+            "adjacent-support vertices left unmatched by double-support edges",
+        )
+        yield Violation(
+            "ii",
+            (),
+            tuple(sorted(Edge.of(v, partner[v]) for v in stray)),
+            "single-support edges must join an isolated support to a"
+            " non-support vertex",
+        )
+
+    exact_id, witness_id = local_ids
+    # V(M*) is V(M) without the supports and their partners
+    partners = map(partner.__getitem__, sup)
+    pool = sorted(covered.difference(sup, partners) | support.s_minus if sup else covered)
     for v in pool:
-        seen = adjacency[v] & matched
+        seen = adjacency[v] & covered
         if len(seen) != 1 or partner[v] not in seen:
             yield Violation(
                 exact_id,
@@ -193,62 +217,6 @@ def _local_violations(
                 )
 
 
-def _certificate_violations(
-    adjacency: Sequence[frozenset[int]],
-    support: SupportClassification,
-    pinned: Mapping[int, set[int]],
-    m: Matching,
-) -> Iterator[Violation]:
-    """Violations of the four conditions by the maximal matching ``m``, in
-    report order: (i), (ii), then (iii)/(iv)."""
-    partition = _partition(m, support)
-    plus_covered = _covered_by(partition.m_plus)
-    unmatched_plus = sorted(support.s_plus - plus_covered)
-    if unmatched_plus:
-        yield Violation(
-            "i",
-            tuple(unmatched_plus),
-            (),
-            "adjacent-support vertices left unmatched by double-support edges",
-        )
-    stray_plus = sorted(plus_covered - support.s_plus)
-    if stray_plus:
-        yield Violation(
-            "i",
-            tuple(stray_plus),
-            (),
-            "double-support edges reach outside the adjacent-support set",
-        )
-
-    unmatched_minus = sorted(support.s_minus - _covered_by(partition.m_minus))
-    if unmatched_minus:
-        yield Violation(
-            "ii",
-            tuple(unmatched_minus),
-            (),
-            "isolated-support vertices not covered by single-support edges",
-        )
-    bad_minus_edges = [
-        e
-        for e in partition.m_minus
-        if not (
-            (e.u in support.s_minus and e.v not in support.sup)
-            or (e.v in support.s_minus and e.u not in support.sup)
-        )
-    ]
-    if bad_minus_edges:
-        yield Violation(
-            "ii",
-            (),
-            tuple(bad_minus_edges),
-            "single-support edges must join an isolated support to a"
-            " non-support vertex",
-        )
-
-    pool = sorted(support.s_minus | _covered_by(partition.m_star))
-    yield from _local_violations(adjacency, pinned, m, pool, "iii", "iv")
-
-
 def _require_low_degree(g: Graph) -> int:
     """The minimum degree of ``g``, which must be one or two."""
     delta = min_degree(g)
@@ -263,17 +231,20 @@ def _certificate_evidence(
     """The partition of ``m`` and its four-condition report, or None when
     ``m`` is not a maximal matching of ``g``.
 
-    Edges and maximality are checked once and supports classified once;
-    the caller has checked the minimum degree.
+    Supports are classified once; the caller has checked the minimum
+    degree and that the edges of ``m`` are edges of ``g``.
     """
-    if not is_maximal_matching(g, m.edges):
-        return None
     adjacency = g._adjacency
+    vertices = g.vertices()
     support = support_classification(g)
     violations = _certificate_violations(
-        adjacency, support, _pinned_pairs(adjacency, g.vertices()), m
+        adjacency, vertices, support, _pinned_pairs(adjacency, vertices), m
     )
-    return _partition(m, support), _report(CONDITION_IDS, violations)
+    first = next(violations, None)
+    if first is not None and first.condition == "maximal":
+        return None
+    found = () if first is None else (first, *violations)
+    return _partition(m, support), _report(CONDITION_IDS, found)
 
 
 def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
@@ -295,6 +266,7 @@ def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
     domination number to equal twice its size.
     """
     _require_low_degree(g)
+    _validated_edges(g, m)
     evidence = _certificate_evidence(g, m)
     if evidence is None:
         raise DomainError("matching is not maximal")
@@ -337,8 +309,8 @@ def find_certifying_matching(
       or blocked vertex, so the next pick is at most the smallest of their
       largest such killers, and an edge with none ends the branch.
 
-    A maximal matching reached that covers every support vertex gets the
-    full check, and the first to pass is returned.  None means the pruned
+    Each maximal matching reached gets the full check, and the first to
+    pass is returned.  None means the pruned
     search was exhausted: no maximal matching meets the conditions, which
     for graphs of minimum degree one or two means γ_t < 2μ*.  The
     conditions are local to a component, so this covers disconnected
@@ -348,10 +320,11 @@ def find_certifying_matching(
     """
     _require_low_degree(g)
     adjacency = g._adjacency
+    vertices = g.vertices()
     support = support_classification(g)
-    pinned = _pinned_pairs(adjacency, g.vertices())
+    pinned = _pinned_pairs(adjacency, vertices)
     sup, s_minus = support.sup, support.s_minus
-    edges, incident, kill, ends = _edge_masks(adjacency, g.vertices())
+    edges, incident, kill, ends = _edge_masks(adjacency, vertices)
     # per allowed edge: the edges a pick rules out (those touching its ends
     # or a vertex it blocks), and the vertices that must not be matched
     # already (the neighbors of its S⁻ and no-support ends)
@@ -372,7 +345,6 @@ def find_certifying_matching(
             for w in adjacency[p]:
                 shut[i] |= incident[w]
                 near[i] |= 1 << w
-    supports = sum(1 << v for v in sup)
 
     nodes = 0
     # (next allowed index, undominated edges, live edges, matched vertices,
@@ -386,13 +358,12 @@ def find_certifying_matching(
         if nodes > budget:
             raise ResourceLimitError(f"certificate search exceeded {budget} nodes")
         if not undominated:
-            if supports & ~matched == 0:
-                matching = Matching(edges[i] for i in chosen)
-                violations = _certificate_violations(adjacency, support, pinned, matching)
-                if next(violations, None) is None:
-                    return CertifyingMatchingResult(
-                        matching, _partition(matching, support), _report(CONDITION_IDS, ())
-                    )
+            matching = Matching(edges[i] for i in chosen)
+            violations = _certificate_violations(adjacency, vertices, support, pinned, matching)
+            if next(violations, None) is None:
+                return CertifyingMatchingResult(
+                    matching, _partition(matching, support), _report(CONDITION_IDS, ())
+                )
             continue
         later = live >> start << start
         cap = len(edges)

@@ -19,22 +19,21 @@ refutation is an id of the input graph.
 
 A leafless graph has no support vertices, so its two conditions are the
 leafy conditions (iii)/(iv) of :mod:`domatch.characterization` taken over
-the matched vertices; both checkers run the same condition engine.  The
-checks form one violation stream (maximality, then (i), then (ii)): the
-public checker reports all of it, and a refutation is its first item, so
-``recognize`` stops at the first failure.
+the matched vertices.  Both checkers read the one condition stream there,
+with no supports: maximality, then (i), then (ii).  The public checker
+reports all of it, and a refutation is its first item, so ``recognize``
+stops at the first failure.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import repeat
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .characterization import (
     ConditionReport,
-    Violation,
-    _local_violations,
+    _certificate_violations,
     _pinned_pairs,
     _report,
 )
@@ -42,11 +41,12 @@ from .errors import DomainError
 from .graph import (
     Edge,
     Graph,
+    SupportClassification,
     _book_pages,
     connected_components,
     min_degree,
 )
-from .oracles import Matching, _extending_edge, _validated_edges
+from .oracles import Matching, _validated_edges
 
 #: Refutation reason codes, stable CLI vocabulary.
 REASON_NOT_MATCHING = "m-not-matching"
@@ -151,24 +151,8 @@ def _candidate_edges(
 #: Condition identifiers of the degree-two checker, in report order.
 _DEGREE_TWO_IDS = ("maximal", "i", "ii")
 
-
-def _degree_two_violations(
-    adjacency: Sequence[frozenset[int]],
-    pinned: Mapping[int, set[int]],
-    vertices: Sequence[int],
-    m: Matching,
-) -> Iterator[Violation]:
-    """Violations of ``maximal``, ``i`` and ``ii``, in that order, by ``m``
-    on sorted ``vertices``."""
-    extending = _extending_edge(adjacency, vertices, m.covered)
-    if extending is not None:
-        yield Violation(
-            "maximal",
-            (),
-            (extending,),
-            f"edge {extending.u}-{extending.v} could extend the matching",
-        )
-    yield from _local_violations(adjacency, pinned, m, sorted(m.covered), "i", "ii")
+#: A leafless graph has no support vertices.
+_NO_SUPPORT = SupportClassification(frozenset(), frozenset(), frozenset())
 
 
 def check_degree_two_certificate(g: Graph, m: Matching) -> ConditionReport:
@@ -186,9 +170,9 @@ def check_degree_two_certificate(g: Graph, m: Matching) -> ConditionReport:
         raise DomainError(f"minimum degree {delta}, expected exactly 2")
     _validated_edges(g, m)
     adjacency = g._adjacency
-    violations = _degree_two_violations(
-        adjacency, _pinned_pairs(adjacency, g.vertices()), g.vertices(), m
-    )
+    vertices = g.vertices()
+    pinned = _pinned_pairs(adjacency, vertices)
+    violations = _certificate_violations(adjacency, vertices, _NO_SUPPORT, pinned, m, ("i", "ii"))
     return _report(_DEGREE_TWO_IDS, violations)
 
 
@@ -211,7 +195,8 @@ def _component_certificate(
     if shared:
         return Refutation(REASON_NOT_MATCHING, tuple(shared), "candidate edges share endpoints")
     m = Matching(candidate)
-    first = next(_degree_two_violations(adjacency, pinned, vertices, m), None)
+    violations = _certificate_violations(adjacency, vertices, _NO_SUPPORT, pinned, m, ("i", "ii"))
+    first = next(violations, None)
     if first is None:
         return CertifyingMatching(m, _report(_DEGREE_TWO_IDS, ()))
     if first.condition == "maximal":

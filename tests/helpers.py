@@ -128,15 +128,16 @@ def minimum_certifying_matching(g: Graph) -> Matching | None:
     the pruning of that search alone.
     """
     adjacency = g._adjacency
+    vertices = g.vertices()
     support = support_classification(g)
-    pinned = _pinned_pairs(adjacency, g.vertices())
+    pinned = _pinned_pairs(adjacency, vertices)
     mu_star = None
     for m in iter_maximal_matchings(g):
         if mu_star is None:
             mu_star = len(m)
         elif len(m) > mu_star:
             break
-        if next(_certificate_violations(adjacency, support, pinned, m), None) is None:
+        if next(_certificate_violations(adjacency, vertices, support, pinned, m), None) is None:
             return m
     return None
 

@@ -188,6 +188,21 @@ def test_verify_spider_legs_holds(tmp_path, capsys):
     assert "verdict: certificate holds" in out
 
 
+def test_verify_skips_blank_and_comment_lines_of_a_matching_file(tmp_path, capsys):
+    graph = write_graph(tmp_path, spider(2))
+    text = "# the two legs\n\nx1 y1\n   \n  # then the second\nx2 y2\n"
+    matching = write_text(tmp_path, text, "m.txt")
+    assert main(["verify", graph, matching]) == 0
+    assert "verdict: certificate holds" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_matching_line_of_three_labels(tmp_path, capsys):
+    graph = write_graph(tmp_path, spider(2))
+    matching = write_text(tmp_path, "x1 y1 z1\n", "m.txt")
+    assert main(["verify", graph, matching]) == 2
+    assert capsys.readouterr().err == "error: line 1: expected two labels, got 3\n"
+
+
 def test_verify_rejects_non_edge(tmp_path, capsys):
     graph = write_graph(tmp_path, subdivided_grid(2))
     matching = write_text(tmp_path, "u0 v1\n", "m.txt")
@@ -228,7 +243,7 @@ def test_verify_checks_maximality_and_classifies_supports_once(tmp_path, capsys,
     import domatch.characterization as characterization
     import domatch.cli as cli
 
-    calls = {"is_maximal_matching": 0, "support_classification": 0}
+    calls = {"_extending_edge": 0, "support_classification": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -245,7 +260,7 @@ def test_verify_checks_maximality_and_classifies_supports_once(tmp_path, capsys,
     matching = write_text(tmp_path, "x1 y1\nx2 y2\n", "m.txt")
     assert main(["verify", graph, matching, "--machine"]) == 0
     assert "verdict: holds" in capsys.readouterr().out
-    assert calls == {"is_maximal_matching": 1, "support_classification": 1}
+    assert calls == {"_extending_edge": 1, "support_classification": 1}
 
 
 def test_verify_flags_endpoint_overlap(tmp_path, capsys):
@@ -377,6 +392,12 @@ def test_machine_recognize_six_cycle(tmp_path, capsys):
     assert "certificate: six-cycle" in out
     assert "verdict: yes" in out
     assert out[-1] == "exit: 0"
+
+
+def test_machine_mu_star_lists_each_witness_edge(tmp_path, capsys):
+    assert main(["mu-star", write_graph(tmp_path, spider(2)), "--machine"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:] == ["mu_star: 2", "witness_edge: x1 y1", "witness_edge: x2 y2", "exit: 0"]
 
 
 def test_machine_bounds_report(tmp_path, capsys):

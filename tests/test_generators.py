@@ -176,6 +176,15 @@ def test_build_rejects_malformed_recipes():
             "has a marked partner",
         ),
         (TightRecipe(1, extra_edges=((0, 1),)), "has an unmarked partner"),
+        (TightRecipe(2, 1, (3,), ((0, 1),), (), ((2, 2),), ((3, 1),)), "^self-loop at 2$"),
+        (
+            TightRecipe(1, marked=(1,), extra_edges=((0, 99),), pendant_counts=((1, 1),)),
+            "^extra edge endpoint 99 is not a matched vertex$",
+        ),
+        (
+            TightRecipe(1, marked=(1,), pendant_counts=((1, 1), (1, 2))),
+            "^duplicate pendant count for vertex 1$",
+        ),
         (TightRecipe(1, marked=(0, 1), pendant_counts=((0, -1), (1, 1))), "negative pendant count"),
         (TightRecipe(1, marked=(0,), pendant_counts=((1, 1),)), "only allowed on marked"),
         # partner is soaked up by the attachment vertex, so no leaf remains
