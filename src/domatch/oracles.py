@@ -15,17 +15,27 @@ size, picks in ascending order on an explicit stack (so depth is not
 bounded by the recursion limit) and counts nodes.  Each solver brings only
 its masks, open neighborhoods for γ_t and edge kill sets for μ* (bit i is
 the component's i-th vertex or edge), and its bound: one pass over what is
-still undominated that caps the next pick and counts a greedy packing (the
-domination solver tries an O(1) count bound first).  The pass visits
-elements in an order fixed once per component, fewest possible settlers
-first (degree for γ_t, kill-set size for μ*) and ties by index, so the
-packing meets its tightest elements first.  The cap is the least, over
-undominated elements, of their largest settler still allowed, and an
-element with none cuts the branch.  The cuts lose no solution, so
-witnesses are those of the unpruned search.  μ* is the first
-hit of :func:`_maximal_matchings`, which also lists every maximal matching
-for :func:`~domatch.characterization.iter_maximal_matchings`; the
-certificate search prunes by the certificate conditions and needs no μ*.
+still undominated that caps the next pick, counts a greedy packing (the
+domination solver tries an O(1) count bound first) and finds the element
+with the fewest settlers still allowed.  The pass visits elements in an
+order fixed once per component, fewest possible settlers first (degree for
+γ_t, kill-set size for μ*) and ties by index, so the packing meets its
+tightest elements first.  The cap is the least, over undominated elements,
+of their largest settler still allowed, and an element with none cuts the
+branch.
+
+Most of a search is spent showing that the sizes below the optimum are
+empty, and there pick order does not matter.  So until a size has a
+solution, the driver first runs a proof at that size: it branches on the
+settlers of the element with the fewest (Knuth's Algorithm X rule), and
+each later sibling excludes the settlers tried before it.  A size the proof
+exhausts is skipped; at the first size it cannot rule out, the ordered
+search runs.  Every smaller size is then known empty, so that size is the
+optimum.  The cuts lose no solution, so witnesses are those of the unpruned
+ordered search.  μ* is the first hit of :func:`_maximal_matchings`, which
+also lists every maximal matching for
+:func:`~domatch.characterization.iter_maximal_matchings`; the certificate
+search prunes by the certificate conditions and needs no μ*.
 
 Intended for desk-scale instances.  A hard vertex limit (default
 :data:`DEFAULT_MAX_VERTICES`) turns oversized inputs into a loud
@@ -197,7 +207,7 @@ def is_maximal_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bo
 def _deepening_search(
     cover: Sequence[int],
     reusable: int,
-    bounds: Callable[[int, int, int], tuple[int, int]],
+    bounds: Callable[[int, int, int], tuple[int, int, int]],
     first: int,
     budget: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -208,20 +218,55 @@ def _deepening_search(
     within a size, picks come in lexicographic order off an explicit stack.
     Above its last pick a node may pick an undominated element or one of
     ``reusable``, and with ``slots`` free none above ``len(cover) - slots``.
-    ``bounds(allowed, undominated, slots)`` caps the next pick and counts
-    the picks still needed; a cap below the first allowed pick, or a need
-    above the free slots, cuts the branch.  Crossing ``budget`` nodes, over
-    all sizes, raises :class:`~domatch.errors.ResourceLimitError`.
+    ``bounds(allowed, undominated, slots)`` caps the next pick, counts the
+    picks still needed and names the allowed settlers of the undominated
+    element with the fewest of them; a cap below the first allowed pick,
+    or a need above the free slots, cuts the branch.
+
+    Until a size has a hit, each size first goes through a proof that
+    ignores pick order: it branches on the fewest settlers, in ascending
+    order, and each later sibling excludes the settlers tried before it,
+    so no pick set is reached twice.  It makes the same cuts and skips the
+    size if it runs out.  If it covers everything instead, every smaller
+    size is already known empty, so that size is the first with a hit and
+    the lexicographic search runs there.  Above it the lexicographic
+    search runs alone, since the enumeration lists every size up to the
+    first empty one.  Crossing ``budget`` nodes, over all sizes and both
+    searches, raises :class:`~domatch.errors.ResourceLimitError`.
     """
     n = len(cover)
+    full = (1 << n) - 1
     keep = [~c for c in cover]
     nodes = 0
     found = False
     for size in range(first, n + 1):
+        if not found:
+            # (undominated elements, picks no earlier sibling excluded, free slots)
+            stack = [(full, full, size)]
+            pop, push = stack.pop, stack.append
+            while stack:
+                undominated, untried, slots = pop()
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    raise ResourceLimitError(f"maximal matching enumeration exceeded {budget} nodes")
+                if undominated == 0:
+                    break
+                if slots == 0:
+                    continue
+                cap, need, fewest = bounds((undominated | reusable) & untried, undominated, slots)
+                if cap < 0 or need > slots:
+                    continue
+                slots -= 1
+                while fewest:
+                    i = fewest.bit_length() - 1
+                    fewest ^= 1 << i
+                    push((undominated & keep[i], untried & ~fewest, slots))
+            else:
+                continue  # the proof ran out: this size is empty
         hit = False
         # (next allowed pick, undominated elements, free slots, picks so far);
         # children are pushed largest first so they pop in ascending order
-        stack = [(0, (1 << n) - 1, size, ())]
+        stack = [(0, full, size, ())]
         pop, push = stack.pop, stack.append
         while stack:
             start, undominated, slots, picks = pop()
@@ -234,7 +279,7 @@ def _deepening_search(
                     yield picks, nodes
                 continue
             allowed = (undominated | reusable) >> start << start
-            cap, need = bounds(allowed, undominated, slots)
+            cap, need, _ = bounds(allowed, undominated, slots)
             if cap > n - slots:
                 cap = n - slots
             if cap < start or need > slots:
@@ -275,28 +320,34 @@ def _solve_total_domination(
     order = sorted(range(n), key=lambda u: nbr[u].bit_count())
     packing = [(1 << u, nbr[u]) for u in order]
 
-    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int]:
-        # (cap on the next pick, picks still needed), stopping once need > slots
+    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int, int]:
+        # (cap on the next pick, picks still needed, fewest allowed
+        # dominators of an undominated vertex), stopping once need > slots
         cap = n - 1
         least = -(-undominated.bit_count() // max_cover)
         if least > slots:
-            return cap, least
+            return cap, least, 0
         need = 0
         used = 0
+        fewest = 0
+        choices = n + 1
         for bit, dominators in packing:
             if undominated & bit:
                 reach = dominators & allowed
                 if not reach:
-                    return -1, 0
+                    return -1, 0, 0
                 top = reach.bit_length() - 1
                 if top < cap:
                     cap = top
+                if choices > 1 and reach.bit_count() < choices:
+                    fewest = reach
+                    choices = reach.bit_count()
                 if reach & used == 0:
                     used |= reach
                     need += 1
                     if need > slots:
                         break
-        return cap, max(need, least)
+        return cap, max(need, least), fewest
 
     full = (1 << n) - 1
     picks, nodes = next(_deepening_search(nbr, full, bounds, max(1, bounds(full, full, n)[1])))
@@ -347,20 +398,26 @@ def _maximal_matchings(
     order = sorted(range(m), key=lambda i: kill[i].bit_count())
     packing = [(1 << i, kill[i], ends[i]) for i in order]
 
-    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int]:
-        # (cap on the next pick, picks still needed), stopping once need > slots
+    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int, int]:
+        # (cap on the next pick, picks still needed, fewest allowed killers
+        # of an undominated edge), stopping once need > slots
         cap = m - 1
         disjoint = packed = 0
         covered = killed = 0
         limit = 2 * slots
+        fewest = 0
+        choices = m + 1
         for bit, killers, pair in packing:
             if undominated & bit:
                 reach = killers & allowed
                 if not reach:
-                    return -1, 0
+                    return -1, 0, 0
                 top = reach.bit_length() - 1
                 if top < cap:
                     cap = top
+                if choices > 1 and reach.bit_count() < choices:
+                    fewest = reach
+                    choices = reach.bit_count()
                 if pair & covered == 0:
                     covered |= pair
                     disjoint += 1
@@ -371,7 +428,7 @@ def _maximal_matchings(
                     packed += 1
                     if packed > slots:
                         break
-        return cap, max(packed, -(-disjoint // 2))
+        return cap, max(packed, -(-disjoint // 2)), fewest
 
     full = (1 << m) - 1
     searches = _deepening_search(kill, 0, bounds, bounds(full, full, m)[1], budget)

@@ -223,6 +223,22 @@ def test_enumeration_matches_brute_force(n):
             assert {frozenset(m.edges) for m in got} == helpers.brute_maximal_matchings(g)
 
 
+def test_enumeration_matches_include_exclude_past_seven_vertices():
+    # Sizes below the first hit are proven empty by a search that ignores
+    # pick order, so a size wrongly proven empty would drop its matchings,
+    # and a size searched out of order would list them out of order.
+    rng = random.Random(2104)
+    for _ in range(200):
+        n = rng.randint(8, 10)
+        g = helpers.random_connected_graph(rng, n, rng.randint(0, 18 - (n - 1)))
+        permutation = list(range(n))
+        rng.shuffle(permutation)
+        h = helpers.relabel(g, permutation)
+        assert h.edge_count <= 18
+        got = list(iter_maximal_matchings(h))
+        assert got == by_size_then_lex(helpers.include_exclude_maximal_matchings(h))
+
+
 def test_enumeration_matches_brute_force_fixtures():
     for g in [cycle(6), cycle(7), subdivided_grid(2), spider(3)]:
         got = {frozenset(m.edges) for m in iter_maximal_matchings(g)}

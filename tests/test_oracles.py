@@ -196,12 +196,19 @@ def test_solvers_match_brute_force_on_relabelled_random_graphs():
 def test_solver_node_ceilings():
     # Deterministic counters, never seconds.  cycle(60) comes last: a search
     # without the packing bounds exceeds the earlier ceilings first instead of
-    # running for minutes.  spider(10) takes 31 nodes, and 301 when the
+    # running for minutes.  spider(10) takes 52 nodes, and 265 when the
     # packing visits undominated vertices in index order, not fewest
-    # dominators first.
+    # dominators first.  subdivided_grid(7) takes 3,739 nodes, and 5,760
+    # when the sizes below the optimum are searched in lexicographic order
+    # instead of proven empty by fewest-settlers branching;
+    # sparse_graph(5, 28, 0, 3) has μ* = 9 and takes 1,139 nodes, and
+    # 6,119 that way, 5,684 of them proving size 8 empty.
     assert total_domination_number(spider(10), max_vertices=64).stats.nodes <= 100
-    assert total_domination_number(subdivided_grid(7), max_vertices=64).stats.nodes <= 20_000
+    assert total_domination_number(subdivided_grid(7), max_vertices=64).stats.nodes <= 4_500
     assert minimum_maximal_matching(cycle(32), max_vertices=64).stats.nodes <= 1_000
+    sparse = minimum_maximal_matching(helpers.sparse_graph(5, 28, 0, 3), max_vertices=30)
+    assert sparse.value == 9
+    assert sparse.stats.nodes <= 1_500
     result = minimum_maximal_matching(cycle(60), max_vertices=60)
     assert result.value == 20
     assert result.stats.nodes <= 1_000
@@ -210,11 +217,13 @@ def test_solver_node_ceilings():
 def test_solver_node_totals_on_the_small_catalog():
     # Deterministic counters over the 995 connected graphs on 2..7 vertices.
     # Dropping either solver's cap or packing bound makes its total grow, and
-    # so does packing in index order (6,641 and 14,773).
+    # so does packing in index order (9,899 and 19,821).  On graphs this
+    # small the optimum is mostly the first size tried, where the proof
+    # reaches a solution and the lexicographic search then finds it again.
     graphs = [g for n in range(2, 8) for g in connected_catalog(n)]
     assert len(graphs) == 995
-    assert sum(total_domination_number(g).stats.nodes for g in graphs) == 5_941
-    assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 13_521
+    assert sum(total_domination_number(g).stats.nodes for g in graphs) == 9_422
+    assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 18_714
 
 
 def test_solver_witnesses_and_nodes_at_bench_scale():
@@ -242,12 +251,13 @@ def test_solver_witnesses_and_nodes_at_bench_scale():
         "mu_star": "763d6a9e4d2a43ae0eafc8099d731e7508e549b96589383dcb5cf359c02b0476",
     }
     assert degrees == {1, 2, 3}
-    assert nodes == {"gamma_t": 2_084, "mu_star": 14_992}
+    assert nodes == {"gamma_t": 1_760, "mu_star": 8_202}
 
 
 def test_solver_search_depth_is_not_bounded_by_recursion():
     # One search level per pick: 200 edges for cycle(600), 300 vertices for
-    # path(600).  With the recursion limit 100 frames above the caller, a
+    # path(600), in the proof and again in the lexicographic search at the
+    # optimum.  With the recursion limit 100 frames above the caller, a
     # search that recursed per level would raise RecursionError.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
@@ -256,8 +266,8 @@ def test_solver_search_depth_is_not_bounded_by_recursion():
         gamma_t = total_domination_number(path(600), max_vertices=600)
     finally:
         sys.setrecursionlimit(limit)
-    assert (mu_star.value, mu_star.stats.nodes) == (200, 400)
-    assert (gamma_t.value, gamma_t.stats.nodes) == (300, 600)
+    assert (mu_star.value, mu_star.stats.nodes) == (200, 800)
+    assert (gamma_t.value, gamma_t.stats.nodes) == (300, 1_199)
     assert is_maximal_matching(cycle(600), mu_star.witness.edges)
     assert is_total_dominating(path(600), gamma_t.witness)
 
