@@ -28,12 +28,15 @@ Most of a search is spent showing that the sizes below the optimum are
 empty, and there pick order does not matter.  So until a size has a
 solution, the driver first runs a proof at that size: it branches on the
 settlers of the element with the fewest (Knuth's Algorithm X rule), and
-each later sibling excludes the settlers tried before it.  A size the proof
-exhausts is skipped; at the first size it cannot rule out, the ordered
-search runs.  Every smaller size is then known empty, so that size is the
-optimum.  The cuts lose no solution, so witnesses are those of the unpruned
-ordered search.  μ* is the first hit of :func:`_maximal_matchings`, which
-also lists every maximal matching for
+each later sibling excludes the settlers tried before it.  The proof
+records each node it refutes, and every search cuts a later node with the
+same undominated elements, no other allowed picks and no more free slots.
+A size the proof exhausts is skipped.  At the first size it cannot rule
+out, every smaller size is known empty, so that size is the optimum, and a
+descent from the proof's solution reaches the least one without searching
+the size again.  The cuts lose no solution, so witnesses are those of the
+unpruned ordered search.  μ* is the first hit of
+:func:`_maximal_matchings`, which also lists every maximal matching for
 :func:`~domatch.characterization.iter_maximal_matchings`; the certificate
 search prunes by the certificate conditions and needs no μ*.
 
@@ -215,9 +218,9 @@ def _deepening_search(
     ``range(len(cover))``, with the search nodes explored so far.
 
     Sizes run from ``first`` to the first empty size after a nonempty one;
-    within a size, picks come in lexicographic order off an explicit stack.
-    Above its last pick a node may pick an undominated element or one of
-    ``reusable``, and with ``slots`` free none above ``len(cover) - slots``.
+    within a size, picks come in lexicographic order.  Above its last pick
+    a node may pick an undominated element or one of ``reusable``, and with
+    ``slots`` free none above ``len(cover) - slots``.
     ``bounds(allowed, undominated, slots)`` caps the next pick, counts the
     picks still needed and names the allowed settlers of the undominated
     element with the fewest of them; a cap below the first allowed pick,
@@ -226,43 +229,94 @@ def _deepening_search(
     Until a size has a hit, each size first goes through a proof that
     ignores pick order: it branches on the fewest settlers, in ascending
     order, and each later sibling excludes the settlers tried before it,
-    so no pick set is reached twice.  It makes the same cuts and skips the
-    size if it runs out.  If it covers everything instead, every smaller
-    size is already known empty, so that size is the first with a hit and
-    the lexicographic search runs there.  Above it the lexicographic
-    search runs alone, since the enumeration lists every size up to the
-    first empty one.  Crossing ``budget`` nodes, over all sizes and both
-    searches, raises :class:`~domatch.errors.ResourceLimitError`.
+    so no pick set is reached twice.  A node whose children all run out
+    goes into a refutation table, local to this call: no cover of its
+    undominated elements with at most its free slots of its allowed picks.
+    Every search reads the table, and cuts a node with the same undominated
+    elements, allowed picks among recorded ones and no more slots; only the
+    proof writes to it, since the ordered search's nodes ask for exactly
+    so many ascending picks.  The proof skips a size it exhausts.  If it
+    covers everything instead, every smaller size is already known empty,
+    so that size is the first with a hit.  A descent then turns the proof's
+    cover into the least one: level by level it proves, in ascending order,
+    the picks below the known next one, and keeps the first that extends to
+    a cover.  That hit comes first; the ordered search runs only if more
+    are asked for, at that size without the hit and then alone above it,
+    since the enumeration lists every size up to the first empty one.  All
+    searches run on explicit stacks, so depth is not bounded by the
+    recursion limit.  Every popped node counts, a cut one too; crossing
+    ``budget`` nodes raises :class:`~domatch.errors.ResourceLimitError`.
     """
     n = len(cover)
     full = (1 << n) - 1
     keep = [~c for c in cover]
+    # undominated elements -> [(allowed picks, free slots), ...] refuted
+    refuted: dict[int, list[tuple[int, int]]] = {}
     nodes = 0
+
+    def prove(undominated: int, untried: int, slots: int, nodes: int) -> tuple[int, int]:
+        # A cover of `undominated` by at most `slots` allowed picks among
+        # `untried` as a mask (-1 if none), and the nodes counted so far.
+        # Entries are (undominated, untried, free slots, picks so far); one
+        # with slots -1 closes a node, as (undominated, allowed, -1, slots).
+        stack = [(undominated, untried, slots, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            undominated, untried, slots, picked = pop()
+            if slots < 0:
+                refuted.setdefault(undominated, []).append((untried, picked))
+                continue
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise ResourceLimitError(f"maximal matching enumeration exceeded {budget} nodes")
+            if undominated == 0:
+                return picked, nodes
+            if slots == 0:
+                continue
+            allowed = (undominated | reusable) & untried
+            known = refuted.get(undominated)
+            if known and any(allowed & ~a == 0 and slots <= s for a, s in known):
+                continue
+            cap, need, fewest = bounds(allowed, undominated, slots)
+            if cap < 0 or need > slots:
+                continue
+            push((undominated, allowed, -1, slots))
+            slots -= 1
+            while fewest:
+                i = fewest.bit_length() - 1
+                fewest ^= 1 << i
+                push((undominated & keep[i], untried & ~fewest, slots, picked | 1 << i))
+        return -1, nodes
+
     found = False
     for size in range(first, n + 1):
+        skip = False
         if not found:
-            # (undominated elements, picks no earlier sibling excluded, free slots)
-            stack = [(full, full, size)]
-            pop, push = stack.pop, stack.append
-            while stack:
-                undominated, untried, slots = pop()
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise ResourceLimitError(f"maximal matching enumeration exceeded {budget} nodes")
-                if undominated == 0:
-                    break
-                if slots == 0:
-                    continue
-                cap, need, fewest = bounds((undominated | reusable) & untried, undominated, slots)
-                if cap < 0 or need > slots:
-                    continue
+            picked, nodes = prove(full, full, size, nodes)
+            if picked < 0:
+                continue  # this size is empty
+            # descend to the least hit: a pick below the known next one is
+            # taken only once a cover of the rest above it is proven
+            picks = []
+            undominated, start, slots = full, 0, size
+            while slots:
+                pick = (picked & -picked).bit_length() - 1
+                below = (undominated | reusable) & ((1 << pick) - 1) >> start << start
+                while below:
+                    i = (below & -below).bit_length() - 1
+                    below ^= 1 << i
+                    above = full >> (i + 1) << (i + 1)
+                    rest, nodes = prove(undominated & keep[i], above, slots - 1, nodes)
+                    if rest >= 0:
+                        picked, pick = rest | 1 << i, i
+                        break
+                picks.append(pick)
+                picked ^= 1 << pick
+                undominated &= keep[pick]
+                start = pick + 1
                 slots -= 1
-                while fewest:
-                    i = fewest.bit_length() - 1
-                    fewest ^= 1 << i
-                    push((undominated & keep[i], untried & ~fewest, slots))
-            else:
-                continue  # the proof ran out: this size is empty
+            yield tuple(picks), nodes
+            skip = True
         hit = False
         # (next allowed pick, undominated elements, free slots, picks so far);
         # children are pushed largest first so they pop in ascending order
@@ -276,9 +330,15 @@ def _deepening_search(
             if slots == 0:
                 if undominated == 0:
                     hit = True
-                    yield picks, nodes
+                    if skip:
+                        skip = False  # the descent's hit, already yielded
+                    else:
+                        yield picks, nodes
                 continue
             allowed = (undominated | reusable) >> start << start
+            known = refuted.get(undominated)
+            if known and any(allowed & ~a == 0 and slots <= s for a, s in known):
+                continue
             cap, need, _ = bounds(allowed, undominated, slots)
             if cap > n - slots:
                 cap = n - slots

@@ -174,8 +174,10 @@ def assert_solvers_match_brute_force(g):
     assert (mm.value, mm.witness.edges) == helpers.brute_minimum_maximal_matching(g)
 
 
-def test_solvers_match_brute_force_seven_vertex_sample():
-    for g in connected_catalog(7)[::17]:
+def test_solvers_match_brute_force_on_every_seven_vertex_graph():
+    graphs = connected_catalog(7)
+    assert len(graphs) == 853
+    for g in graphs:
         assert_solvers_match_brute_force(g)
 
 
@@ -196,15 +198,16 @@ def test_solvers_match_brute_force_on_relabelled_random_graphs():
 def test_solver_node_ceilings():
     # Deterministic counters, never seconds.  cycle(60) comes last: a search
     # without the packing bounds exceeds the earlier ceilings first instead of
-    # running for minutes.  spider(10) takes 52 nodes, and 265 when the
+    # running for minutes.  spider(10) takes 31 nodes, and 228 when the
     # packing visits undominated vertices in index order, not fewest
-    # dominators first.  subdivided_grid(7) takes 3,739 nodes, and 5,760
-    # when the sizes below the optimum are searched in lexicographic order
-    # instead of proven empty by fewest-settlers branching;
-    # sparse_graph(5, 28, 0, 3) has μ* = 9 and takes 1,139 nodes, and
-    # 6,119 that way, 5,684 of them proving size 8 empty.
+    # dominators first.  subdivided_grid(7) takes 1,816 nodes, 3,722 when
+    # the proof keeps no refutation table, and 5,760 when the sizes below
+    # the optimum are searched in lexicographic order instead of proven
+    # empty by fewest-settlers branching; sparse_graph(5, 28, 0, 3) has
+    # μ* = 9 and takes 1,304 nodes (1,646 with no table), and 6,119 in
+    # lexicographic order, 5,684 of them proving size 8 empty.
     assert total_domination_number(spider(10), max_vertices=64).stats.nodes <= 100
-    assert total_domination_number(subdivided_grid(7), max_vertices=64).stats.nodes <= 4_500
+    assert total_domination_number(subdivided_grid(7), max_vertices=64).stats.nodes <= 2_270
     assert minimum_maximal_matching(cycle(32), max_vertices=64).stats.nodes <= 1_000
     sparse = minimum_maximal_matching(helpers.sparse_graph(5, 28, 0, 3), max_vertices=30)
     assert sparse.value == 9
@@ -217,13 +220,15 @@ def test_solver_node_ceilings():
 def test_solver_node_totals_on_the_small_catalog():
     # Deterministic counters over the 995 connected graphs on 2..7 vertices.
     # Dropping either solver's cap or packing bound makes its total grow, and
-    # so does packing in index order (9,899 and 19,821).  On graphs this
-    # small the optimum is mostly the first size tried, where the proof
-    # reaches a solution and the lexicographic search then finds it again.
+    # so does packing in index order (6,769 and 14,996) or keeping no
+    # refutation table (6,447 and 15,365).  On graphs this small the optimum
+    # is mostly the first size tried, where the proof reaches a solution and
+    # the descent proves the smaller picks at each level empty to reach the
+    # least one.
     graphs = [g for n in range(2, 8) for g in connected_catalog(n)]
     assert len(graphs) == 995
-    assert sum(total_domination_number(g).stats.nodes for g in graphs) == 9_422
-    assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 18_714
+    assert sum(total_domination_number(g).stats.nodes for g in graphs) == 6_410
+    assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 13_978
 
 
 def test_solver_witnesses_and_nodes_at_bench_scale():
@@ -251,13 +256,12 @@ def test_solver_witnesses_and_nodes_at_bench_scale():
         "mu_star": "763d6a9e4d2a43ae0eafc8099d731e7508e549b96589383dcb5cf359c02b0476",
     }
     assert degrees == {1, 2, 3}
-    assert nodes == {"gamma_t": 1_760, "mu_star": 8_202}
+    assert nodes == {"gamma_t": 1_314, "mu_star": 5_660}
 
 
 def test_solver_search_depth_is_not_bounded_by_recursion():
     # One search level per pick: 200 edges for cycle(600), 300 vertices for
-    # path(600), in the proof and again in the lexicographic search at the
-    # optimum.  With the recursion limit 100 frames above the caller, a
+    # path(600), in the proof and again in the descent to the least witness.  With the recursion limit 100 frames above the caller, a
     # search that recursed per level would raise RecursionError.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
@@ -266,8 +270,8 @@ def test_solver_search_depth_is_not_bounded_by_recursion():
         gamma_t = total_domination_number(path(600), max_vertices=600)
     finally:
         sys.setrecursionlimit(limit)
-    assert (mu_star.value, mu_star.stats.nodes) == (200, 800)
-    assert (gamma_t.value, gamma_t.stats.nodes) == (300, 1_199)
+    assert (mu_star.value, mu_star.stats.nodes) == (200, 599)
+    assert (gamma_t.value, gamma_t.stats.nodes) == (300, 898)
     assert is_maximal_matching(cycle(600), mu_star.witness.edges)
     assert is_total_dominating(path(600), gamma_t.witness)
 
