@@ -10,33 +10,33 @@ Both invariants add over connected components.  One loop,
 :func:`_by_component`, hands each component with an edge to a search in
 place, as a sorted vertex list over the input's adjacency, and sums the
 picks (ids of the input) and nodes; no subgraph is built.  One driver,
-:func:`_deepening_search`, runs both searches: it deepens the solution
-size, picks in ascending order on an explicit stack (so depth is not
-bounded by the recursion limit) and counts nodes.  Each solver brings only
+:func:`_deepening_search`, serves both solvers: it deepens the solution
+size, searches on explicit stacks (so depth is not bounded by the
+recursion limit) and counts nodes.  Each solver brings only
 its masks, open neighborhoods for γ_t and edge kill sets for μ* (bit i is
 the component's i-th vertex or edge), and its bound: one pass over what is
-still undominated that caps the next pick, counts a greedy packing (the
-domination solver tries an O(1) count bound first) and finds the element
-with the fewest settlers still allowed.  The pass visits elements in an
-order fixed once per component, fewest possible settlers first (degree for
-γ_t, kill-set size for μ*) and ties by index, so the packing meets its
-tightest elements first.  The cap is the least, over undominated elements,
-of their largest settler still allowed, and an element with none cuts the
-branch.
+still undominated that counts a greedy packing (the domination solver
+tries an O(1) count bound first) and finds the element with the fewest
+settlers still allowed.  The pass visits elements in an order fixed once
+per component, fewest possible settlers first (degree for γ_t, kill-set
+size for μ*) and ties by index, so the packing meets its tightest elements
+first; an element with no allowed settler cuts the branch.
 
-Most of a search is spent showing that the sizes below the optimum are
-empty, and there pick order does not matter.  So until a size has a
-solution, the driver first runs a proof at that size: it branches on the
-settlers of the element with the fewest (Knuth's Algorithm X rule), and
-each later sibling excludes the settlers tried before it.  The proof
-records each node it refutes, and every search cuts a later node with the
-same undominated elements, no other allowed picks and no more free slots.
-A size the proof exhausts is skipped.  At the first size it cannot rule
-out, every smaller size is known empty, so that size is the optimum, and a
-descent from the proof's solution reaches the least one without searching
-the size again.  The cuts lose no solution, so witnesses are those of the
-unpruned ordered search.  μ* is the first hit of
-:func:`_maximal_matchings`, which also lists every maximal matching for
+The driver runs two searches.  Most of the work is showing that the sizes
+below the optimum are empty, and there pick order does not matter: a
+proof branches on the settlers of the element with the fewest (Knuth's
+Algorithm X rule), each later sibling excluding the settlers tried before
+it, and looks for a cover by exactly the free slots' worth of picks.  It
+records each node it refutes and cuts a later node with the same
+undominated elements, no other allowed picks and the same free slots.  An
+ordered walk then lists the solutions of each size in lexicographic order:
+it branches on the least allowed pick, taking it or leaving it out,
+follows a proven cover down the branch it belongs to and enters the other
+only once a proof covers it.  A size whose proof fails is empty, so the first size
+with a solution is the optimum, and the walk's first hit is the least
+optimum.  The cuts lose no solution, so witnesses are those of the
+unpruned ordered search.  μ* is the first hit of :func:`_maximal_matchings`,
+which also lists every maximal matching for
 :func:`~domatch.characterization.iter_maximal_matchings`; the certificate
 search prunes by the certificate conditions and needs no μ*.
 
@@ -210,42 +210,40 @@ def is_maximal_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bo
 def _deepening_search(
     cover: Sequence[int],
     reusable: int,
-    bounds: Callable[[int, int, int], tuple[int, int, int]],
-    first: int,
+    bounds: Callable[[int, int, int], tuple[int, int]],
     budget: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each sorted tuple of picks whose ``cover`` masks together cover
     ``range(len(cover))``, with the search nodes explored so far.
 
-    Sizes run from ``first`` to the first empty size after a nonempty one;
-    within a size, picks come in lexicographic order.  Above its last pick
-    a node may pick an undominated element or one of ``reusable``, and with
-    ``slots`` free none above ``len(cover) - slots``.
-    ``bounds(allowed, undominated, slots)`` caps the next pick, counts the
-    picks still needed and names the allowed settlers of the undominated
-    element with the fewest of them; a cap below the first allowed pick,
-    or a need above the free slots, cuts the branch.
+    Sizes run from the least one ``bounds`` allows to the first empty size
+    after a nonempty one; within a size, picks come in lexicographic order.
+    Above its last pick a node may pick an undominated element or one of
+    ``reusable``.  ``bounds(allowed, undominated, slots)`` counts the picks
+    still needed (``slots + 1`` if an undominated element has no allowed
+    settler) and names the allowed settlers of the undominated element with
+    the fewest of them; a need above the free slots cuts the branch.
 
-    Until a size has a hit, each size first goes through a proof that
-    ignores pick order: it branches on the fewest settlers, in ascending
-    order, and each later sibling excludes the settlers tried before it,
-    so no pick set is reached twice.  A node whose children all run out
-    goes into a refutation table, local to this call: no cover of its
-    undominated elements with at most its free slots of its allowed picks.
-    Every search reads the table, and cuts a node with the same undominated
-    elements, allowed picks among recorded ones and no more slots; only the
-    proof writes to it, since the ordered search's nodes ask for exactly
-    so many ascending picks.  The proof skips a size it exhausts.  If it
-    covers everything instead, every smaller size is already known empty,
-    so that size is the first with a hit.  A descent then turns the proof's
-    cover into the least one: level by level it proves, in ascending order,
-    the picks below the known next one, and keeps the first that extends to
-    a cover.  That hit comes first; the ordered search runs only if more
-    are asked for, at that size without the hit and then alone above it,
-    since the enumeration lists every size up to the first empty one.  All
-    searches run on explicit stacks, so depth is not bounded by the
-    recursion limit.  Every popped node counts, a cut one too; crossing
-    ``budget`` nodes raises :class:`~domatch.errors.ResourceLimitError`.
+    Two searches run.  A proof ignores pick order: it looks for a cover of
+    the undominated elements by exactly the free slots' worth of allowed
+    picks (not at most: a maximal matching cannot be padded), branches on
+    the fewest settlers in ascending order, and each later sibling excludes
+    the settlers tried before it, so no pick set is reached twice.  A node
+    whose children all run out goes into a refutation table, local to this
+    call, and the proof cuts a later node with the same undominated
+    elements, allowed picks among recorded ones and the same slots.  An
+    ordered walk lists the hits of each size.  Each entry branches on its
+    least allowed pick, taking it or leaving it out, and carries a proven
+    cover of what is left, or None; the branch the cover belongs to
+    follows it, and the other is entered only once a proof covers it.  The
+    include branch pops first, so hits come in lexicographic order, and the
+    first costs the root proof plus one per allowed pick tried below the
+    known cover's next pick.  A size whose root proof fails is empty.  Only
+    proof nodes count, a cut one too; every walk step runs a proof or
+    follows a known cover, so crossing ``budget`` nodes, which raises
+    :class:`~domatch.errors.ResourceLimitError`, still bounds the work.
+    Both searches run on explicit stacks, so depth is not bounded by the
+    recursion limit.
     """
     n = len(cover)
     full = (1 << n) - 1
@@ -254,9 +252,9 @@ def _deepening_search(
     refuted: dict[int, list[tuple[int, int]]] = {}
     nodes = 0
 
-    def prove(undominated: int, untried: int, slots: int, nodes: int) -> tuple[int, int]:
-        # A cover of `undominated` by at most `slots` allowed picks among
-        # `untried` as a mask (-1 if none), and the nodes counted so far.
+    def prove(undominated: int, untried: int, slots: int, nodes: int) -> tuple[int | None, int]:
+        # A cover of `undominated` by exactly `slots` allowed picks among
+        # `untried` as a mask (None if none), and the nodes counted so far.
         # Entries are (undominated, untried, free slots, picks so far); one
         # with slots -1 closes a node, as (undominated, allowed, -1, slots).
         stack = [(undominated, untried, slots, 0)]
@@ -269,16 +267,16 @@ def _deepening_search(
             nodes += 1
             if budget is not None and nodes > budget:
                 raise ResourceLimitError(f"maximal matching enumeration exceeded {budget} nodes")
-            if undominated == 0:
-                return picked, nodes
             if slots == 0:
+                if undominated == 0:
+                    return picked, nodes
                 continue
             allowed = (undominated | reusable) & untried
             known = refuted.get(undominated)
-            if known and any(allowed & ~a == 0 and slots <= s for a, s in known):
+            if known and any(allowed & ~a == 0 and s == slots for a, s in known):
                 continue
-            cap, need, fewest = bounds(allowed, undominated, slots)
-            if cap < 0 or need > slots:
+            need, fewest = bounds(allowed, undominated, slots)
+            if need > slots:
                 continue
             push((undominated, allowed, -1, slots))
             slots -= 1
@@ -286,70 +284,38 @@ def _deepening_search(
                 i = fewest.bit_length() - 1
                 fewest ^= 1 << i
                 push((undominated & keep[i], untried & ~fewest, slots, picked | 1 << i))
-        return -1, nodes
+        return None, nodes
 
     found = False
-    for size in range(first, n + 1):
-        skip = False
-        if not found:
-            picked, nodes = prove(full, full, size, nodes)
-            if picked < 0:
-                continue  # this size is empty
-            # descend to the least hit: a pick below the known next one is
-            # taken only once a cover of the rest above it is proven
-            picks = []
-            undominated, start, slots = full, 0, size
-            while slots:
-                pick = (picked & -picked).bit_length() - 1
-                below = (undominated | reusable) & ((1 << pick) - 1) >> start << start
-                while below:
-                    i = (below & -below).bit_length() - 1
-                    below ^= 1 << i
-                    above = full >> (i + 1) << (i + 1)
-                    rest, nodes = prove(undominated & keep[i], above, slots - 1, nodes)
-                    if rest >= 0:
-                        picked, pick = rest | 1 << i, i
-                        break
-                picks.append(pick)
-                picked ^= 1 << pick
-                undominated &= keep[pick]
-                start = pick + 1
-                slots -= 1
-            yield tuple(picks), nodes
-            skip = True
+    for size in range(bounds(full, full, n)[0], n + 1):
         hit = False
-        # (next allowed pick, undominated elements, free slots, picks so far);
-        # children are pushed largest first so they pop in ascending order
-        stack = [(0, full, size, ())]
+        # (undominated, untried, free slots, picks so far, proven cover of
+        # the rest or None)
+        stack: list[tuple[int, int, int, tuple[int, ...], int | None]] = [
+            (full, full, size, (), None)
+        ]
         pop, push = stack.pop, stack.append
         while stack:
-            start, undominated, slots, picks = pop()
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise ResourceLimitError(f"maximal matching enumeration exceeded {budget} nodes")
+            undominated, untried, slots, picks, rest = pop()
+            if rest is None:
+                rest, nodes = prove(undominated, untried, slots, nodes)
+                if rest is None:
+                    continue
             if slots == 0:
-                if undominated == 0:
-                    hit = True
-                    if skip:
-                        skip = False  # the descent's hit, already yielded
-                    else:
-                        yield picks, nodes
+                hit = True
+                yield picks, nodes
                 continue
-            allowed = (undominated | reusable) >> start << start
-            known = refuted.get(undominated)
-            if known and any(allowed & ~a == 0 and slots <= s for a, s in known):
-                continue
-            cap, need, _ = bounds(allowed, undominated, slots)
-            if cap > n - slots:
-                cap = n - slots
-            if cap < start or need > slots:
-                continue
-            children = allowed & ((2 << cap) - 1)
-            slots -= 1
-            while children:
-                i = children.bit_length() - 1
-                children ^= 1 << i
-                push((i + 1, undominated & keep[i], slots, picks + (i,)))
+            allowed = (undominated | reusable) & untried
+            i = (allowed & -allowed).bit_length() - 1
+            untried = allowed ^ 1 << i
+            # the known cover goes where it belongs; the other branch waits
+            # for a proof, and the include branch pops first
+            if rest >> i & 1:
+                skip, rest = None, rest ^ 1 << i
+            else:
+                skip, rest = rest, None
+            push((undominated, untried, slots, picks, skip))
+            push((undominated & keep[i], untried, slots - 1, picks + (i,), rest))
         if found and not hit:
             return
         found = hit
@@ -362,15 +328,13 @@ def _solve_total_domination(
     component on sorted ``vertices`` (bit i is ``vertices[i]``), which has
     an edge, and the search nodes it took.
 
-    Any vertex may be picked, and dominates its open neighborhood.  The
-    next pick is at most the smallest largest allowed neighbor of an
-    undominated vertex, and an undominated vertex with no allowed neighbor
-    cuts the branch.  Undominated vertices with pairwise disjoint
-    neighborhoods among the allowed ones need a pick each; the greedy
-    packing takes them lowest degree first, ties by index.  The O(1) count
-    bound (a pick dominates at most ``max_cover`` vertices) is tried before
-    that packing, and on the whole component the larger bound is the first
-    size.
+    Any vertex may be picked, and dominates its open neighborhood.  An
+    undominated vertex with no allowed neighbor cuts the branch.
+    Undominated vertices with pairwise disjoint neighborhoods among the
+    allowed ones need a pick each; the greedy packing takes them lowest
+    degree first, ties by index.  The O(1) count bound (a pick dominates at
+    most ``max_cover`` vertices) is tried before that packing, and on the
+    whole component the larger bound is the first size.
     """
     position = {v: i for i, v in enumerate(vertices)}
     nbr = [sum(1 << position[w] for w in adjacency[v]) for v in vertices]
@@ -380,13 +344,12 @@ def _solve_total_domination(
     order = sorted(range(n), key=lambda u: nbr[u].bit_count())
     packing = [(1 << u, nbr[u]) for u in order]
 
-    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int, int]:
-        # (cap on the next pick, picks still needed, fewest allowed
-        # dominators of an undominated vertex), stopping once need > slots
-        cap = n - 1
+    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int]:
+        # (picks still needed, fewest allowed dominators of an undominated
+        # vertex), stopping once need > slots
         least = -(-undominated.bit_count() // max_cover)
         if least > slots:
-            return cap, least, 0
+            return least, 0
         need = 0
         used = 0
         fewest = 0
@@ -395,10 +358,7 @@ def _solve_total_domination(
             if undominated & bit:
                 reach = dominators & allowed
                 if not reach:
-                    return -1, 0, 0
-                top = reach.bit_length() - 1
-                if top < cap:
-                    cap = top
+                    return slots + 1, 0
                 if choices > 1 and reach.bit_count() < choices:
                     fewest = reach
                     choices = reach.bit_count()
@@ -407,10 +367,9 @@ def _solve_total_domination(
                     need += 1
                     if need > slots:
                         break
-        return cap, max(need, least), fewest
+        return max(need, least), fewest
 
-    full = (1 << n) - 1
-    picks, nodes = next(_deepening_search(nbr, full, bounds, max(1, bounds(full, full, n)[1])))
+    picks, nodes = next(_deepening_search(nbr, (1 << n) - 1, bounds))
     return [vertices[i] for i in picks], nodes
 
 
@@ -443,14 +402,12 @@ def _maximal_matchings(
 
     A maximal edge set leaves no edge with both ends uncovered
     ("undominated").  Only undominated edges are picked, and a pick
-    dominates the edges it kills, so picks stay a matching.  The next pick
-    is at most the smallest largest allowed killer of an undominated edge,
-    and an undominated edge with no allowed killer cuts the branch.  A pick
-    settles at most two of a set of vertex-disjoint undominated edges, and
-    at most one of a set whose kill sets within the allowed edges are
-    pairwise disjoint; both greedy packings take edges with the smallest
-    kill sets first, ties by index, and the larger count is the picks still
-    needed.
+    dominates the edges it kills, so picks stay a matching.  An undominated
+    edge with no allowed killer cuts the branch.  A pick settles at most
+    two of a set of vertex-disjoint undominated edges, and at most one of a
+    set whose kill sets within the allowed edges are pairwise disjoint;
+    both greedy packings take edges with the smallest kill sets first, ties
+    by index, and the larger count is the picks still needed.
     """
     edges, _, kill, ends = _edge_masks(adjacency, vertices)
     m = len(kill)
@@ -458,10 +415,9 @@ def _maximal_matchings(
     order = sorted(range(m), key=lambda i: kill[i].bit_count())
     packing = [(1 << i, kill[i], ends[i]) for i in order]
 
-    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int, int]:
-        # (cap on the next pick, picks still needed, fewest allowed killers
-        # of an undominated edge), stopping once need > slots
-        cap = m - 1
+    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int]:
+        # (picks still needed, fewest allowed killers of an undominated
+        # edge), stopping once need > slots
         disjoint = packed = 0
         covered = killed = 0
         limit = 2 * slots
@@ -471,10 +427,7 @@ def _maximal_matchings(
             if undominated & bit:
                 reach = killers & allowed
                 if not reach:
-                    return -1, 0, 0
-                top = reach.bit_length() - 1
-                if top < cap:
-                    cap = top
+                    return slots + 1, 0
                 if choices > 1 and reach.bit_count() < choices:
                     fewest = reach
                     choices = reach.bit_count()
@@ -488,10 +441,9 @@ def _maximal_matchings(
                     packed += 1
                     if packed > slots:
                         break
-        return cap, max(packed, -(-disjoint // 2)), fewest
+        return max(packed, -(-disjoint // 2)), fewest
 
-    full = (1 << m) - 1
-    searches = _deepening_search(kill, 0, bounds, bounds(full, full, m)[1], budget)
+    searches = _deepening_search(kill, 0, bounds, budget)
     return (([edges[i] for i in picks], nodes) for picks, nodes in searches)
 
 

@@ -226,15 +226,18 @@ def test_enumeration_matches_brute_force(n):
 def test_enumeration_matches_include_exclude_past_seven_vertices():
     # Sizes below the first hit are proven empty by a search that ignores
     # pick order, so a size wrongly proven empty would drop its matchings,
-    # and a size searched out of order would list them out of order.
+    # and a size searched out of order would list them out of order.  The
+    # fixed graphs have 12 to 14 vertices and two to four sizes each.
     rng = random.Random(2104)
+    graphs = [subdivided_grid(3), cycle(12), spider(4), path(12)]
     for _ in range(200):
         n = rng.randint(8, 10)
         g = helpers.random_connected_graph(rng, n, rng.randint(0, 18 - (n - 1)))
         permutation = list(range(n))
         rng.shuffle(permutation)
-        h = helpers.relabel(g, permutation)
-        assert h.edge_count <= 18
+        graphs.append(helpers.relabel(g, permutation))
+        assert graphs[-1].edge_count <= 18
+    for h in graphs:
         got = list(iter_maximal_matchings(h))
         assert got == by_size_then_lex(helpers.include_exclude_maximal_matchings(h))
 

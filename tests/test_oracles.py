@@ -26,7 +26,7 @@ from domatch import (
     total_domination_number,
 )
 from domatch.generators import cycle, high_degree_extremal, path, spider, subdivided_grid, triangle_book
-from domatch.oracles import DEFAULT_MAX_VERTICES
+from domatch.oracles import DEFAULT_MAX_VERTICES, _maximal_matchings
 
 import helpers
 from catalogs import connected_catalog
@@ -182,8 +182,9 @@ def test_solvers_match_brute_force_on_every_seven_vertex_graph():
 
 
 def test_solvers_match_brute_force_on_relabelled_random_graphs():
-    # A relabelling moves the vertices and edges that bound the next pick,
-    # so the caps cut in different places; witnesses must not move with them.
+    # A relabelling moves the vertices and edges the searches branch on, so
+    # the proofs and the ordered walk take other paths; witnesses must not
+    # move with them.
     rng = random.Random(20190)
     for _ in range(400):
         n = rng.randint(8, 11)
@@ -217,14 +218,26 @@ def test_solver_node_ceilings():
     assert result.stats.nodes <= 1_000
 
 
+def test_second_maximal_matching_resumes_from_the_first():
+    # Deterministic counters.  sparse_graph(5, 28, 0, 3) has μ* = 9; the
+    # first maximal matching takes 1,304 nodes and the second 1,924 in all,
+    # since the ordered walk backtracks from the first hit.  A search that
+    # lists the optimum size again from no picks reaches it at 3,689.
+    g = helpers.sparse_graph(5, 28, 0, 3)
+    matchings = _maximal_matchings(g._adjacency, g.vertices())
+    (first, _), (second, nodes) = next(matchings), next(matchings)
+    assert len(first) == len(second) == 9 and first < second
+    assert nodes <= 2_400
+
+
 def test_solver_node_totals_on_the_small_catalog():
     # Deterministic counters over the 995 connected graphs on 2..7 vertices.
-    # Dropping either solver's cap or packing bound makes its total grow, and
-    # so does packing in index order (6,769 and 14,996) or keeping no
+    # Dropping either solver's packing bound makes its total grow, and so
+    # does packing in index order (6,769 and 14,996) or keeping no
     # refutation table (6,447 and 15,365).  On graphs this small the optimum
     # is mostly the first size tried, where the proof reaches a solution and
-    # the descent proves the smaller picks at each level empty to reach the
-    # least one.
+    # the ordered walk proves the smaller picks at each level empty to reach
+    # the least one.
     graphs = [g for n in range(2, 8) for g in connected_catalog(n)]
     assert len(graphs) == 995
     assert sum(total_domination_number(g).stats.nodes for g in graphs) == 6_410
@@ -261,7 +274,8 @@ def test_solver_witnesses_and_nodes_at_bench_scale():
 
 def test_solver_search_depth_is_not_bounded_by_recursion():
     # One search level per pick: 200 edges for cycle(600), 300 vertices for
-    # path(600), in the proof and again in the descent to the least witness.  With the recursion limit 100 frames above the caller, a
+    # path(600), in the proof and again in the ordered walk to the least
+    # witness.  With the recursion limit 100 frames above the caller, a
     # search that recursed per level would raise RecursionError.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
