@@ -20,13 +20,18 @@ tries an O(1) count bound first) and finds the element with the fewest
 settlers still allowed.  The pass visits elements in an order fixed once
 per component, fewest possible settlers first (degree for γ_t, kill-set
 size for μ*) and ties by index, so the packing meets its tightest elements
-first; an element with no allowed settler cuts the branch.
+first; an element with no allowed settler cuts the branch.  The packed
+elements' allowed settlers are pairwise disjoint, so a pick settles at
+most one of them; when the packing fills every free slot, each pick of a
+cover settles a different one, and the pass also returns the union of
+their settlers, within which every pick must lie.
 
 The driver runs two searches.  Most of the work is showing that the sizes
 below the optimum are empty, and there pick order does not matter: a
 proof branches on the settlers of the element with the fewest (Knuth's
 Algorithm X rule), each later sibling excluding the settlers tried before
-it, and looks for a cover by exactly the free slots' worth of picks.  It
+it, and looks for a cover by exactly the free slots' worth of picks,
+taking them only within a tight packing's settlers.  It
 records each node it refutes and cuts a later node with the same
 undominated elements, no other allowed picks and the same free slots.  An
 ordered walk then lists the solutions of each size in lexicographic order:
@@ -210,7 +215,7 @@ def is_maximal_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bo
 def _deepening_search(
     cover: Sequence[int],
     reusable: int,
-    bounds: Callable[[int, int, int], tuple[int, int]],
+    bounds: Callable[[int, int, int], tuple[int, int, int]],
     budget: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each sorted tuple of picks whose ``cover`` masks together cover
@@ -221,16 +226,23 @@ def _deepening_search(
     Above its last pick a node may pick an undominated element or one of
     ``reusable``.  ``bounds(allowed, undominated, slots)`` counts the picks
     still needed (``slots + 1`` if an undominated element has no allowed
-    settler) and names the allowed settlers of the undominated element with
-    the fewest of them; a need above the free slots cuts the branch.
+    settler), names the allowed settlers of the undominated element with
+    the fewest of them, and gives a mask every pick of a cover by exactly
+    ``slots`` picks lies in; a need above the free slots cuts the branch.
+    The mask is all ones unless the greedy packing, whose elements' allowed
+    settlers are pairwise disjoint, has ``slots`` elements: then each pick
+    settles a different packed element, so the mask is the union of their
+    allowed settlers.
 
     Two searches run.  A proof ignores pick order: it looks for a cover of
     the undominated elements by exactly the free slots' worth of allowed
     picks (not at most: a maximal matching cannot be padded), branches on
     the fewest settlers in ascending order, and each later sibling excludes
-    the settlers tried before it, so no pick set is reached twice.  A node
-    whose children all run out goes into a refutation table, local to this
-    call, and the proof cuts a later node with the same undominated
+    the settlers tried before it, so no pick set is reached twice; the
+    settlers it branches on and the picks it passes down are cut to the
+    mask ``bounds`` gives, which drops only branches without a cover.  A
+    node whose children all run out goes into a refutation table, local to
+    this call, and the proof cuts a later node with the same undominated
     elements, allowed picks among recorded ones and the same slots.  An
     ordered walk lists the hits of each size.  Each entry branches on its
     least allowed pick, taking it or leaving it out, and carries a proven
@@ -238,9 +250,11 @@ def _deepening_search(
     follows it, and the other is entered only once a proof covers it.  The
     include branch pops first, so hits come in lexicographic order, and the
     first costs the root proof plus one per allowed pick tried below the
-    known cover's next pick.  A size whose root proof fails is empty.  Only
-    proof nodes count, a cut one too; every walk step runs a proof or
-    follows a known cover, so crossing ``budget`` nodes, which raises
+    known cover's next pick.  An entry with no free slot is answered in
+    place, as a one-node proof: it is covered iff nothing is undominated.
+    A size whose root proof fails is empty.  Only proof nodes count, a cut
+    one too; every walk step runs a proof or follows a known cover, so
+    crossing ``budget`` nodes, which raises
     :class:`~domatch.errors.ResourceLimitError`, still bounds the work.
     Both searches run on explicit stacks, so depth is not bounded by the
     recursion limit.
@@ -275,11 +289,13 @@ def _deepening_search(
             known = refuted.get(undominated)
             if known and any(allowed & ~a == 0 and s == slots for a, s in known):
                 continue
-            need, fewest = bounds(allowed, undominated, slots)
+            need, fewest, within = bounds(allowed, undominated, slots)
             if need > slots:
                 continue
             push((undominated, allowed, -1, slots))
             slots -= 1
+            fewest &= within
+            untried &= within
             while fewest:
                 i = fewest.bit_length() - 1
                 fewest ^= 1 << i
@@ -298,7 +314,15 @@ def _deepening_search(
         while stack:
             undominated, untried, slots, picks, rest = pop()
             if rest is None:
-                rest, nodes = prove(undominated, untried, slots, nodes)
+                if slots:
+                    rest, nodes = prove(undominated, untried, slots, nodes)
+                else:  # a proof with no free slot: one node, a cover iff none is left
+                    nodes += 1
+                    if budget is not None and nodes > budget:
+                        raise ResourceLimitError(
+                            f"maximal matching enumeration exceeded {budget} nodes"
+                        )
+                    rest = None if undominated else 0
                 if rest is None:
                     continue
             if slots == 0:
@@ -344,12 +368,13 @@ def _solve_total_domination(
     order = sorted(range(n), key=lambda u: nbr[u].bit_count())
     packing = [(1 << u, nbr[u]) for u in order]
 
-    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int]:
+    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int, int]:
         # (picks still needed, fewest allowed dominators of an undominated
-        # vertex), stopping once need > slots
+        # vertex, the packed vertices' dominators if they fill the slots or
+        # else all ones), stopping once need > slots
         least = -(-undominated.bit_count() // max_cover)
         if least > slots:
-            return least, 0
+            return least, 0, 0
         need = 0
         used = 0
         fewest = 0
@@ -358,7 +383,7 @@ def _solve_total_domination(
             if undominated & bit:
                 reach = dominators & allowed
                 if not reach:
-                    return slots + 1, 0
+                    return slots + 1, 0, 0
                 if choices > 1 and reach.bit_count() < choices:
                     fewest = reach
                     choices = reach.bit_count()
@@ -367,7 +392,7 @@ def _solve_total_domination(
                     need += 1
                     if need > slots:
                         break
-        return max(need, least), fewest
+        return max(need, least), fewest, used if need == slots else -1
 
     picks, nodes = next(_deepening_search(nbr, (1 << n) - 1, bounds))
     return [vertices[i] for i in picks], nodes
@@ -415,9 +440,10 @@ def _maximal_matchings(
     order = sorted(range(m), key=lambda i: kill[i].bit_count())
     packing = [(1 << i, kill[i], ends[i]) for i in order]
 
-    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int]:
+    def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int, int]:
         # (picks still needed, fewest allowed killers of an undominated
-        # edge), stopping once need > slots
+        # edge, the packed edges' killers if they fill the slots or else all
+        # ones), stopping once need > slots
         disjoint = packed = 0
         covered = killed = 0
         limit = 2 * slots
@@ -427,7 +453,7 @@ def _maximal_matchings(
             if undominated & bit:
                 reach = killers & allowed
                 if not reach:
-                    return slots + 1, 0
+                    return slots + 1, 0, 0
                 if choices > 1 and reach.bit_count() < choices:
                     fewest = reach
                     choices = reach.bit_count()
@@ -441,7 +467,7 @@ def _maximal_matchings(
                     packed += 1
                     if packed > slots:
                         break
-        return max(packed, -(-disjoint // 2)), fewest
+        return max(packed, -(-disjoint // 2)), fewest, killed if packed == slots else -1
 
     searches = _deepening_search(kill, 0, bounds, budget)
     return (([edges[i] for i in picks], nodes) for picks, nodes in searches)

@@ -196,23 +196,40 @@ def test_solvers_match_brute_force_on_relabelled_random_graphs():
         assert_solvers_match_brute_force(h)
 
 
+def test_solvers_match_brute_force_at_minimum_degree_three():
+    # Dense enough that greedy packings often fill every free slot, where
+    # the proof confines its picks to the packing's settlers.
+    graphs = [
+        g
+        for seed in range(200)
+        for n in (9, 10, 11)
+        if (g := helpers.sparse_graph(seed, n, 0, 3)).edge_count <= 18
+    ]
+    assert len(graphs) == 330
+    for g in graphs:
+        assert min_degree(g) == 3
+        assert_solvers_match_brute_force(g)
+
+
 def test_solver_node_ceilings():
     # Deterministic counters, never seconds.  cycle(60) comes last: a search
     # without the packing bounds exceeds the earlier ceilings first instead of
-    # running for minutes.  spider(10) takes 31 nodes, and 228 when the
+    # running for minutes.  spider(10) takes 31 nodes, and 213 when the
     # packing visits undominated vertices in index order, not fewest
-    # dominators first.  subdivided_grid(7) takes 1,816 nodes, 3,722 when
-    # the proof keeps no refutation table, and 5,760 when the sizes below
-    # the optimum are searched in lexicographic order instead of proven
-    # empty by fewest-settlers branching; sparse_graph(5, 28, 0, 3) has
-    # μ* = 9 and takes 1,304 nodes (1,646 with no table), and 6,119 in
-    # lexicographic order, 5,684 of them proving size 8 empty.
+    # dominators first.  subdivided_grid(7) takes 1,806 nodes (1,816 when a
+    # tight packing does not confine the proof's picks to its settlers),
+    # 3,604 when the proof keeps no refutation table, and 5,760 when the
+    # sizes below the optimum are searched in lexicographic order instead of
+    # proven empty by fewest-settlers branching; sparse_graph(5, 28, 0, 3)
+    # has μ* = 9 and takes 987 nodes (1,304 without the tight-packing rule,
+    # 1,202 with no table), and 6,119 in lexicographic order, 5,684 of them
+    # proving size 8 empty.
     assert total_domination_number(spider(10), max_vertices=64).stats.nodes <= 100
     assert total_domination_number(subdivided_grid(7), max_vertices=64).stats.nodes <= 2_270
     assert minimum_maximal_matching(cycle(32), max_vertices=64).stats.nodes <= 1_000
     sparse = minimum_maximal_matching(helpers.sparse_graph(5, 28, 0, 3), max_vertices=30)
     assert sparse.value == 9
-    assert sparse.stats.nodes <= 1_500
+    assert sparse.stats.nodes <= 1_150
     result = minimum_maximal_matching(cycle(60), max_vertices=60)
     assert result.value == 20
     assert result.stats.nodes <= 1_000
@@ -220,28 +237,31 @@ def test_solver_node_ceilings():
 
 def test_second_maximal_matching_resumes_from_the_first():
     # Deterministic counters.  sparse_graph(5, 28, 0, 3) has μ* = 9; the
-    # first maximal matching takes 1,304 nodes and the second 1,924 in all,
-    # since the ordered walk backtracks from the first hit.  A search that
-    # lists the optimum size again from no picks reaches it at 3,689.
+    # first maximal matching takes 987 nodes and the second 1,470 in all,
+    # since the ordered walk backtracks from the first hit (1,304 and 1,924
+    # when a tight packing does not confine the proof's picks to its
+    # settlers).  A search that lists the optimum size again from no picks
+    # reaches it at 3,689.
     g = helpers.sparse_graph(5, 28, 0, 3)
     matchings = _maximal_matchings(g._adjacency, g.vertices())
     (first, _), (second, nodes) = next(matchings), next(matchings)
     assert len(first) == len(second) == 9 and first < second
-    assert nodes <= 2_400
+    assert nodes <= 1_800
 
 
 def test_solver_node_totals_on_the_small_catalog():
     # Deterministic counters over the 995 connected graphs on 2..7 vertices.
     # Dropping either solver's packing bound makes its total grow, and so
-    # does packing in index order (6,769 and 14,996) or keeping no
-    # refutation table (6,447 and 15,365).  On graphs this small the optimum
+    # does packing in index order (6,521 and 13,913), keeping no refutation
+    # table (6,245 and 13,922) or letting the proof pick outside a tight
+    # packing's settlers (6,410 and 13,978).  On graphs this small the optimum
     # is mostly the first size tried, where the proof reaches a solution and
     # the ordered walk proves the smaller picks at each level empty to reach
     # the least one.
     graphs = [g for n in range(2, 8) for g in connected_catalog(n)]
     assert len(graphs) == 995
-    assert sum(total_domination_number(g).stats.nodes for g in graphs) == 6_410
-    assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 13_978
+    assert sum(total_domination_number(g).stats.nodes for g in graphs) == 6_226
+    assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 13_003
 
 
 def test_solver_witnesses_and_nodes_at_bench_scale():
@@ -249,7 +269,8 @@ def test_solver_witnesses_and_nodes_at_bench_scale():
     # 30, as in the exact-solve benchmark.  The digests pin every value and
     # lexicographically least witness, so a prune that cuts a solution, or
     # changes which optimum comes first, fails here; the node totals are
-    # deterministic counters of the same searches.
+    # deterministic counters of the same searches: 1,314 and 5,660 when a
+    # tight packing does not confine the proof's picks to its settlers.
     lines = {"gamma_t": [], "mu_star": []}
     nodes = {"gamma_t": 0, "mu_star": 0}
     degrees = set()
@@ -269,14 +290,16 @@ def test_solver_witnesses_and_nodes_at_bench_scale():
         "mu_star": "763d6a9e4d2a43ae0eafc8099d731e7508e549b96589383dcb5cf359c02b0476",
     }
     assert degrees == {1, 2, 3}
-    assert nodes == {"gamma_t": 1_314, "mu_star": 5_660}
+    assert nodes == {"gamma_t": 909, "mu_star": 3_725}
 
 
 def test_solver_search_depth_is_not_bounded_by_recursion():
     # One search level per pick: 200 edges for cycle(600), 300 vertices for
     # path(600), in the proof and again in the ordered walk to the least
     # witness.  With the recursion limit 100 frames above the caller, a
-    # search that recursed per level would raise RecursionError.
+    # search that recursed per level would raise RecursionError.  The proof
+    # keeps its picks within a tight packing's settlers; without that rule
+    # the counts are 599 and 898.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
@@ -284,8 +307,8 @@ def test_solver_search_depth_is_not_bounded_by_recursion():
         gamma_t = total_domination_number(path(600), max_vertices=600)
     finally:
         sys.setrecursionlimit(limit)
-    assert (mu_star.value, mu_star.stats.nodes) == (200, 599)
-    assert (gamma_t.value, gamma_t.stats.nodes) == (300, 898)
+    assert (mu_star.value, mu_star.stats.nodes) == (200, 500)
+    assert (gamma_t.value, gamma_t.stats.nodes) == (300, 600)
     assert is_maximal_matching(cycle(600), mu_star.witness.edges)
     assert is_total_dominating(path(600), gamma_t.witness)
 
