@@ -250,11 +250,9 @@ def _deepening_search(
     follows it, and the other is entered only once a proof covers it.  The
     include branch pops first, so hits come in lexicographic order, and the
     first costs the root proof plus one per allowed pick tried below the
-    known cover's next pick.  An entry with no free slot is answered in
-    place, as a one-node proof: it is covered iff nothing is undominated.
-    A size whose root proof fails is empty.  Only proof nodes count, a cut
-    one too; every walk step runs a proof or follows a known cover, so
-    crossing ``budget`` nodes, which raises
+    known cover's next pick.  A size whose root proof fails is empty.  Only
+    proof nodes count, a cut one too; every walk step runs a proof or
+    follows a known cover, so crossing ``budget`` nodes, which raises
     :class:`~domatch.errors.ResourceLimitError`, still bounds the work.
     Both searches run on explicit stacks, so depth is not bounded by the
     recursion limit.
@@ -314,15 +312,7 @@ def _deepening_search(
         while stack:
             undominated, untried, slots, picks, rest = pop()
             if rest is None:
-                if slots:
-                    rest, nodes = prove(undominated, untried, slots, nodes)
-                else:  # a proof with no free slot: one node, a cover iff none is left
-                    nodes += 1
-                    if budget is not None and nodes > budget:
-                        raise ResourceLimitError(
-                            f"maximal matching enumeration exceeded {budget} nodes"
-                        )
-                    rest = None if undominated else 0
+                rest, nodes = prove(undominated, untried, slots, nodes)
                 if rest is None:
                     continue
             if slots == 0:

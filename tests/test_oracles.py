@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import random
 import sys
 
@@ -184,31 +185,27 @@ def test_solvers_match_brute_force_on_every_seven_vertex_graph():
 def test_solvers_match_brute_force_on_relabelled_random_graphs():
     # A relabelling moves the vertices and edges the searches branch on, so
     # the proofs and the ordered walk take other paths; witnesses must not
-    # move with them.
-    rng = random.Random(20190)
-    for _ in range(400):
-        n = rng.randint(8, 11)
-        g = helpers.random_connected_graph(rng, n, rng.randint(0, 18 - (n - 1)))
-        permutation = list(range(n))
-        rng.shuffle(permutation)
-        h = helpers.relabel(g, permutation)
-        assert h.edge_count <= 18
-        assert_solvers_match_brute_force(h)
-
-
-def test_solvers_match_brute_force_at_minimum_degree_three():
-    # Dense enough that greedy packings often fill every free slot, where
-    # the proof confines its picks to the packing's settlers.
-    graphs = [
+    # move with them.  The graphs of minimum degree three are dense enough
+    # that greedy packings often fill every free slot, where the proof
+    # confines its picks to the packing's settlers.
+    dense = [
         g
         for seed in range(200)
         for n in (9, 10, 11)
         if (g := helpers.sparse_graph(seed, n, 0, 3)).edge_count <= 18
     ]
-    assert len(graphs) == 330
-    for g in graphs:
-        assert min_degree(g) == 3
-        assert_solvers_match_brute_force(g)
+    assert len(dense) == 330 and all(min_degree(g) == 3 for g in dense)
+    rng = random.Random(20190)
+    drawn = (
+        helpers.random_connected_graph(rng, n, rng.randint(0, 18 - (n - 1)))
+        for n in (rng.randint(8, 11) for _ in range(400))
+    )
+    for g in itertools.chain(drawn, dense):
+        permutation = list(range(g.vertex_count))
+        rng.shuffle(permutation)
+        h = helpers.relabel(g, permutation)
+        assert h.edge_count <= 18
+        assert_solvers_match_brute_force(h)
 
 
 def test_solver_node_ceilings():
