@@ -242,17 +242,18 @@ def _deepening_search(
     settlers it branches on and the picks it passes down are cut to the
     mask ``bounds`` gives, which drops only branches without a cover.  A
     node whose children all run out goes into a refutation table, local to
-    this call, and the proof cuts a later node with the same undominated
-    elements, allowed picks among recorded ones and the same slots.  An
-    ordered walk lists the hits of each size.  Each entry branches on its
-    least allowed pick, taking it or leaving it out, and carries a proven
-    cover of what is left, or None; the branch the cover belongs to
-    follows it, and the other is entered only once a proof covers it.  The
-    include branch pops first, so hits come in lexicographic order, and the
-    first costs the root proof plus one per allowed pick tried below the
-    known cover's next pick.  A size whose root proof fails is empty.  Only
-    proof nodes count, a cut one too; every walk step runs a proof or
-    follows a known cover, so crossing ``budget`` nodes, which raises
+    this call and keyed by the undominated elements and free slots, and the
+    proof cuts a later node with the same key and allowed picks among
+    recorded ones.  An ordered walk lists the hits of each size.  Each
+    entry branches on its least allowed pick, taking it or leaving it out,
+    and carries a proven cover of what is left, or None; the branch the
+    cover belongs to follows it, and the other is entered only once a proof
+    covers it.  The include branch pops first, so hits come in
+    lexicographic order, and the first costs the root proof plus one per
+    allowed pick tried below the known cover's next pick.  A size whose
+    root proof fails is empty.  Only proof nodes count, a cut one too;
+    every walk step runs a proof or follows a known cover, so crossing
+    ``budget`` nodes, which raises
     :class:`~domatch.errors.ResourceLimitError`, still bounds the work.
     Both searches run on explicit stacks, so depth is not bounded by the
     recursion limit.
@@ -260,8 +261,8 @@ def _deepening_search(
     n = len(cover)
     full = (1 << n) - 1
     keep = [~c for c in cover]
-    # undominated elements -> [(allowed picks, free slots), ...] refuted
-    refuted: dict[int, list[tuple[int, int]]] = {}
+    # (undominated elements, free slots) -> [allowed picks, ...] refuted
+    refuted: dict[tuple[int, int], list[int]] = {}
     nodes = 0
 
     def prove(undominated: int, untried: int, slots: int, nodes: int) -> tuple[int | None, int]:
@@ -274,7 +275,7 @@ def _deepening_search(
         while stack:
             undominated, untried, slots, picked = pop()
             if slots < 0:
-                refuted.setdefault(undominated, []).append((untried, picked))
+                refuted.setdefault((undominated, picked), []).append(untried)
                 continue
             nodes += 1
             if budget is not None and nodes > budget:
@@ -284,8 +285,8 @@ def _deepening_search(
                     return picked, nodes
                 continue
             allowed = (undominated | reusable) & untried
-            known = refuted.get(undominated)
-            if known and any(allowed & ~a == 0 and s == slots for a, s in known):
+            known = refuted.get((undominated, slots))
+            if known and any(allowed & ~a == 0 for a in known):
                 continue
             need, fewest, within = bounds(allowed, undominated, slots)
             if need > slots:

@@ -8,10 +8,12 @@ graphs directly, builds the candidate matching from the induced six-cycles
 x–a–a′–y–b′–b through degree-two vertices x and y, and reports a checkable
 certificate or a reasoned refutation.
 
-The six-cycles are found by a local walk: from each degree-two x with
-N(x) = {a, b}, over a′ ∈ N(a) and b′ ∈ N(b), with the degree-two y such
-that N(y) = {a′, b′} looked up in an index of degree-two neighborhoods.
-That costs at most O(Σₓ deg(a)·deg(b)), so bounded-degree inputs are
+The six-cycles are found by a local walk over the index of degree-two
+neighborhoods: from each indexed pair {a, b} over a′ ∈ N(a), with b′ drawn
+from the neighbors of b whose pair with a′ is indexed too.  A six-cycle
+has two such pairs, {a, b} and {a′, b′}, and is found only from the one
+holding the least of the four vertices.  That costs at most
+O(Σ deg(a)·deg(b)) over the indexed pairs, so bounded-degree inputs are
 decided in about linear time.  Each component is handled as a sorted vertex
 subset of the input graph, read through its adjacency directly: no
 :class:`~domatch.graph.Graph` is built, and every id in a certificate or
@@ -107,44 +109,35 @@ class RecognitionOutcome(NamedTuple):
 
 
 def _candidate_edges(
-    adjacency: Sequence[frozenset[int]],
-    vertices: Sequence[int],
-    pinned: Mapping[int, set[int]],
+    adjacency: Sequence[frozenset[int]], pinned: Mapping[int, set[int]]
 ) -> tuple[Edge, ...]:
     """Middle edges a–a′ and b–b′ of the induced six-cycles x–a–a′–y–b′–b.
 
-    ``pinned`` indexes the degree-two neighborhoods of ``vertices`` (see
-    :func:`~domatch.characterization._pinned_pairs`).  The six vertices
-    induce a six-cycle exactly when none of a–b, a–b′, a′–b, a′–b′ is an
-    edge; the other non-edges follow from x and y having degree two.  The
-    deduplicated, sorted union is returned; it need not be a matching.
+    ``pinned`` indexes the degree-two neighborhoods {a, b} of x (see
+    :func:`~domatch.characterization._pinned_pairs`); the walk goes from
+    each indexed pair a < b over a′ ∈ N(a) to the b′ ∈ N(b) pinned with a′.
+    The six vertices induce a six-cycle exactly when none of a–b, a–b′,
+    a′–b, a′–b′ is an edge; the other non-edges follow from x and y having
+    degree two, and x ∈ N(a) ∩ N(b) is kept off a′ ∉ N(b) and b′ ∉ N(a).
+    Asking a′ > a and b′ > a finds each six-cycle once, from its pair with
+    the least end; each pair costs at most deg(a)·deg(b).
+    The deduplicated, sorted union is returned; it need not be a matching.
     """
     found: set[tuple[int, int]] = set()
-    for x in vertices:
-        if len(adjacency[x]) != 2:
-            continue
-        a, b = adjacency[x]
-        near_a, near_b = adjacency[a], adjacency[b]
-        if b in near_a:
-            continue
-        for a2 in near_a:
-            partners = pinned.get(a2)
-            if not partners or a2 == x or a2 in near_b:
+    for a, partners in pinned.items():
+        near_a = adjacency[a]
+        for b in partners:
+            if b < a or b in near_a:
                 continue
-            near_a2 = adjacency[a2]
-            # b′ must be both a neighbor of b and pinned with a′: walk the
-            # smaller of the two sets and test membership in the other.
-            smaller = partners if len(partners) < len(near_b) else near_b
-            for b2 in smaller:
-                if (
-                    b2 in near_b
-                    and b2 in partners
-                    and b2 != x
-                    and b2 not in near_a
-                    and b2 not in near_a2
-                ):
-                    found.add((a, a2) if a < a2 else (a2, a))
-                    found.add((b, b2) if b < b2 else (b2, b))
+            near_b = adjacency[b]
+            for a2 in near_a:
+                if a2 < a or a2 in near_b or a2 not in pinned:
+                    continue
+                near_a2 = adjacency[a2]
+                for b2 in pinned[a2] & near_b:
+                    if b2 > a and b2 not in near_a and b2 not in near_a2:
+                        found.add((a, a2))
+                        found.add((b, b2) if b < b2 else (b2, b))
     return tuple(map(tuple.__new__, repeat(Edge), sorted(found)))
 
 
@@ -189,7 +182,7 @@ def _component_certificate(
     if len(vertices) == 6 and max(degrees) == 2:
         return ExceptionalSixCycle()
     pinned = _pinned_pairs(adjacency, vertices)
-    candidate = _candidate_edges(adjacency, vertices, pinned)
+    candidate = _candidate_edges(adjacency, pinned)
     uses = Counter(w for e in candidate for w in e)
     shared = sorted(v for v, count in uses.items() if count > 1)
     if shared:

@@ -22,11 +22,16 @@ from domatch import (
     Edge,
     Graph,
     Matching,
+    TightGraphParams,
     connected_components,
+    cycle,
     girth,
     iter_maximal_matchings,
     min_degree,
+    random_tight_graph,
+    subdivided_grid,
     support_classification,
+    triangle_book,
 )
 from domatch.characterization import _certificate_violations, _pinned_pairs
 
@@ -386,6 +391,37 @@ BENCH_SCALE_SPARSE = (
     (4, 24, 0, 3), (5, 24, 0, 3), (6, 26, 10, 0), (7, 26, 0, 3),
     (5, 28, 0, 3), (2, 30, 12, 2), (3, 30, 12, 2),
 )
+
+#: Recipe bounds of the benchmark's leafless tight graphs (100 to 350 vertices).
+BENCH_SCALE_LEAFLESS_PARAMS = TightGraphParams(
+    max_k2=40, max_a=20, mark_probability=0.0, extra_edge_probability=0.2, max_vertices=350
+)
+
+#: The benchmark's recognize-leafless pool: ``tight:<seed>`` under the
+#: bounds above, a named family with its size, or a ``union:`` of
+#: ``+``-joined specs.
+BENCH_SCALE_LEAFLESS = (
+    "tight:14", "tight:37", "tight:1", "tight:18", "tight:4", "tight:13", "tight:36", "tight:11",
+    "grid:10", "grid:15", "grid:25", "grid:40", "grid:60",
+    "cycle:60", "cycle:75", "cycle:85", "cycle:100", "cycle:140", "cycle:150",
+    "book:1000", "book:2000", "book:3000", "book:4000", "book:5000",
+    "union:tight:1+grid:15+book:500",
+    "union:grid:12+cycle:60",
+    "union:cycle:6+grid:25+tight:14",
+    "union:book:50+grid:8+cycle:7",
+)
+
+
+def bench_scale_leafless_graph(spec: str) -> Graph:
+    """The graph a spec of :data:`BENCH_SCALE_LEAFLESS` names, with the
+    benchmark's ids: a union shifts each part above the parts before it."""
+    kind, _, rest = spec.partition(":")
+    if kind == "union":
+        return functools.reduce(disjoint_union, map(bench_scale_leafless_graph, rest.split("+")))
+    if kind == "tight":
+        return random_tight_graph(int(rest), BENCH_SCALE_LEAFLESS_PARAMS)[0]
+    family = {"grid": subdivided_grid, "cycle": cycle, "book": triangle_book}[kind]
+    return family(int(rest))
 
 
 def _patched_to_min_degree_two(rng: random.Random, g: Graph) -> Graph:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -44,7 +45,7 @@ def candidate_edges(g):
     """The candidate scan that ``recognize`` runs, over the whole of ``g``."""
     adjacency, vertices = g._adjacency, g.vertices()
     found = recognizer._candidate_edges(
-        adjacency, vertices, characterization._pinned_pairs(adjacency, vertices)
+        adjacency, characterization._pinned_pairs(adjacency, vertices)
     )
     assert all(type(e) is Edge and e.u < e.v for e in found)
     assert list(found) == sorted(set(found))
@@ -79,9 +80,7 @@ def cycle_ten_with_chords():
 
 
 #: Leafless draws of about a hundred to a few hundred vertices.
-LEAFLESS = TightGraphParams(
-    max_k2=40, max_a=20, mark_probability=0.0, extra_edge_probability=0.2, max_vertices=350
-)
+LEAFLESS = helpers.BENCH_SCALE_LEAFLESS_PARAMS
 
 
 def grid_with_spoiled_witness():
@@ -535,3 +534,65 @@ def test_large_union_is_the_and_of_its_parts(monkeypatch):
         verdicts = [recognize(part).verdict for part in parts[:count]]
         assert [c.verdict for c in outcome.components] == verdicts
         assert outcome.verdict == all(verdicts) == (count == 2)
+
+
+def bench_scale_outcome_text(outcome):
+    """Verdict, then per component its certificate kind and what it names:
+    pages, certifying edges, or a refutation's reason and vertices."""
+    lines = [str(outcome.verdict)]
+    for component in outcome.components:
+        cert = component.certificate
+        if isinstance(cert, ExceptionalBook):
+            body = str(cert.pages)
+        elif isinstance(cert, CertifyingMatching):
+            body = " ".join(f"{e.u}-{e.v}" for e in cert.matching)
+        elif isinstance(cert, Refutation):
+            body = f"{cert.reason} {list(cert.vertices)}"
+        else:
+            body = ""
+        lines.append(f"{len(component.vertices)} {component.verdict} {type(cert).__name__} {body}")
+    return "\n".join(lines)
+
+
+def test_recognize_outcomes_at_bench_scale():
+    # The benchmark's recognize-leafless pool, 42 to 5,002 vertices, with its
+    # ids: the pairwise-definition tests stop at a few hundred vertices, and
+    # these digests pin every verdict and certificate there.
+    digests = {}
+    kinds = set()
+    for spec in helpers.BENCH_SCALE_LEAFLESS:
+        outcome = recognize(helpers.bench_scale_leafless_graph(spec))
+        text = bench_scale_outcome_text(outcome)
+        digests[spec] = hashlib.sha256(text.encode()).hexdigest()
+        kinds.update(type(cert).__name__ for cert in outcome.certificates)
+    assert digests == {
+        "tight:14": "840e292d19aa77f50cfcc02b752aba2be59d2dbe5634edc4e853848f10a8f459",
+        "tight:37": "d0db7ba26536f6a9b718cf49ffef24554333d3116bfd0a39277d8136fd1027bb",
+        "tight:1": "d8294baf2315b70a238b606e81700286d1a19a11abfc55037b50d1f885e1c73f",
+        "tight:18": "70d72a203ca0d5286c7f335c82336a4ad5efcb9dbcd9507bd8bc2485f4876ee3",
+        "tight:4": "897dc8cd922f4af8fab721442adf730630de76d354b2de32c567371391656900",
+        "tight:13": "4c08748db8ce75fb520f569eb25f2ba0b04850106ff2406f26b941a0df8ff2b0",
+        "tight:36": "3b03162b1c2b5043b542b8caf0b9419dff75cb29fe1561b2929f78774d9eb62f",
+        "tight:11": "77434a96cffed263bc69108864167d8e12e7144cae07957397a1c6ae4c765cac",
+        "grid:10": "01c1b0c20d708d1f013dd43fd8e2a4098dadd5982e918b5320278009a74476d7",
+        "grid:15": "a8d3fd76d76791f4a990078391067e8be58f6981ce23832139e88d34599a16b0",
+        "grid:25": "cc7810ccf17027de0bdaba892b05b81b09615a4cd5ddb8fc0110ad306aacd8ac",
+        "grid:40": "792b940b3dd971a1d88bc978aae031d604823c85b47452ed8ed74d5cd1e4fa98",
+        "grid:60": "ece3cb5d269f3866e14f16479130e0a464635cb854d3054b6ea066d93b206a48",
+        "cycle:60": "8114b8dfb97d8f615a34977d643e0cdbeb5e8cfce381a072d19404b49bf33eb1",
+        "cycle:75": "5c465a3582bcba4bfcf4cbc2472ef5d6d15f18dec220483468ee4a3274dc396e",
+        "cycle:85": "3e335bd611f0abc7a22790dd0106056bf8ac065500ce2dd40e1d5d27d7bf706e",
+        "cycle:100": "3aedeba99a4706e6864949c3d232a77ba5a5f2de005b7012c5483325979b1cf1",
+        "cycle:140": "0b36270b8196f1e1364c5eb146034103dfbd4c24f326dfa4e223183da9ba2b5e",
+        "cycle:150": "8ac59f1c5e304ec2d20bbef81b9b3ffe7e9723571524121d37192f136d50845e",
+        "book:1000": "21b86a36c631efbbdd404c27fdb30408888b8abec411cab53cf8c8f02d523da0",
+        "book:2000": "f6f5ceb64176858dc80f5795ca7241d78f9db335fc3f3356b46a54b02dc36057",
+        "book:3000": "31b045e6eee81f05bf40e5768f304be0a25283ee8facd261a253a3c218577b8e",
+        "book:4000": "983668020fbdb3f1dde7361b6d2e6c95d713ecf1fd5a8bee29d2104e85a5e921",
+        "book:5000": "b8a5c3d9a136fcfbc9e7fe041183ec40beeb0f1b5dbb102a838951afab3705a9",
+        "union:tight:1+grid:15+book:500": "08d08071cfdddaa0bd5c9c5e4e46e6dd6a47f3ca015beca17ebef822c0394245",
+        "union:grid:12+cycle:60": "5c28ce1f2f738aa936569b836786006e570b91583934a887ca268994f2f590d8",
+        "union:cycle:6+grid:25+tight:14": "d1495dfc83211e05620576c4e42ed0a952062f9102ab33955ab7221ae62657ff",
+        "union:book:50+grid:8+cycle:7": "18d469cb756ab3f3174d3055ef2f39d6cfad0e2ce49546bb6896ab410d917ec1",
+    }
+    assert kinds == {"CertifyingMatching", "ExceptionalBook", "ExceptionalSixCycle", "Refutation"}
