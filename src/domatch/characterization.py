@@ -17,10 +17,13 @@ so (i) and (ii) fail together, exactly when an ``S⁺`` vertex is matched
 outside the support.  Without leaves (iii)/(iv) over the matched vertices
 are the recognizer's degree-two conditions (i)/(ii).  A certificate M
 forces γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so every certificate of a graph has the
-same size and the search never computes μ*: it picks edges in ascending
-index order over all sizes, and conditions (i)–(iii) decide while it
-picks which edges may be taken and which vertices must stay unmatched.
-Each maximal matching it reaches gets the full check.
+same size and the search never computes μ*.  It runs once per connected
+component, over all sizes, and conditions (i)–(iii) decide while it picks
+which edges may be taken and which vertices must stay unmatched.  Each
+node branches on the undominated edge with the fewest live killers, the
+"fewest rows first" rule of Knuth's Dancing Links, so the cost follows
+the graph, not the order of its ids.  Each maximal matching it reaches
+gets the full check.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .graph import (
 )
 from .oracles import (
     Matching,
-    _edge_masks,
     _extending_edge,
     _maximal_matchings,
     _validated_edges,
@@ -290,102 +292,162 @@ def iter_maximal_matchings(
 def find_certifying_matching(
     g: Graph, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> CertifyingMatchingResult | None:
-    """First maximal matching satisfying all four certificate conditions.
+    """A maximal matching satisfying all four certificate conditions.
 
     A certificate forces γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so all certificates have
-    size μ*, and the first one in lexicographic order of sorted edge-index
-    tuples is the first in the order of :func:`iter_maximal_matchings`; the
-    result is deterministic.  One depth-first search picks edges in
-    ascending index order over all sizes, pruned by the conditions:
+    size μ*.  The conditions are local to a component, so each component
+    is searched alone, with its own supports, in order of its least
+    vertex; the first without a certificate makes the answer None, and a
+    component of minimum degree three or more has none.  One depth-first
+    search per component runs over all sizes, pruned by the conditions:
 
     - (i)/(ii) allow an edge only if both ends are supports, one end is in
       ``S⁻`` or no end is a support; every other edge must be dominated
       but is never picked;
     - (iii): once a vertex of ``S⁻`` or an end of a no-support edge is
-      matched, its other neighbors must stay unmatched ("blocked"), so a
-      pick touching a blocked vertex is cut, and so is one whose ``S⁻`` or
-      no-support ends already see a matched vertex;
-    - every undominated edge needs a later allowed pick touching no matched
-      or blocked vertex, so the next pick is at most the smallest of their
-      largest such killers, and an edge with none ends the branch.
+      matched, its other neighbors must stay unmatched ("blocked"), so
+      after a pick no edge touching a blocked vertex is live, and neither
+      is one whose ``S⁻`` or no-support ends see a matched vertex;
+    - every undominated edge needs a live killer, an allowed edge at one
+      of its ends that no pick has ruled out.  Each node branches on the
+      undominated edge with the fewest live killers, the first in index
+      order among equals: none ends the branch, and the scan stops at
+      one.  The killers are tried in ascending index, and each tried
+      killer leaves the live edges of its later siblings, so every
+      maximal matching is reached at most once.
 
     Each maximal matching reached gets the full check, and the first to
-    pass is returned.  None means the pruned
-    search was exhausted: no maximal matching meets the conditions, which
-    for graphs of minimum degree one or two means γ_t < 2μ*.  The
-    conditions are local to a component, so this covers disconnected
-    graphs too, and a component of minimum degree three or more has no
-    certificate.  Crossing ``budget`` search nodes raises
+    pass is the component's certificate.  The result is deterministic, but
+    which certificate it is, when a graph has several, is not promised:
+    the tests check that it is the first minimum maximal matching meeting
+    the conditions in lexicographic order of sorted edge-index tuples
+    (``minimum_certifying_matching`` in ``tests/helpers.py``) on every graph
+    they list.  None means the pruned search of some component was
+    exhausted: no maximal matching meets the conditions, which for graphs
+    of minimum degree one or two means γ_t < 2μ*.  All components share
+    one ``budget`` of search nodes; crossing it raises
     :class:`~domatch.errors.ResourceLimitError`.
     """
     _require_low_degree(g)
     adjacency = g._adjacency
-    vertices = g.vertices()
     support = support_classification(g)
-    pinned = _pinned_pairs(adjacency, vertices)
     sup, s_minus = support.sup, support.s_minus
-    edges, incident, kill, ends = _edge_masks(adjacency, vertices)
-    # per allowed edge: the edges a pick rules out (those touching its ends
-    # or a vertex it blocks), and the vertices that must not be matched
-    # already (the neighbors of its S⁻ and no-support ends)
+    # one pass over the sorted pairs, edge bit i for the i-th, vertex bit v
+    # for vertex v: the edges and neighbors at each vertex, the edges that
+    # (i)/(ii) allow, and per vertex the allowed edges that would put it in
+    # the pool of (iii), as an S⁻ end or an end of a no-support edge
+    pairs = [(u, v) for u in g.vertices() for v in sorted(adjacency[u]) if v > u]
+    incident = [0] * len(adjacency)
+    neighbors = [0] * len(adjacency)
+    pooled = [0] * len(adjacency)
     allowed = 0
-    shut = kill[:]
-    near = [0] * len(edges)
-    for i, (u, v) in enumerate(edges):
-        if u in sup and v in sup:
-            pool: tuple[int, ...] = ()
-        elif u in s_minus or v in s_minus:
-            pool = (u,) if u in s_minus else (v,)
-        elif u in sup or v in sup:
+    for i, (u, v) in enumerate(pairs):
+        bit = 1 << i
+        incident[u] |= bit
+        incident[v] |= bit
+        neighbors[u] |= 1 << v
+        neighbors[v] |= 1 << u
+        if u in s_minus or v in s_minus:
+            pooled[u if u in s_minus else v] |= bit
+        elif u not in sup and v not in sup:
+            pooled[u] |= bit
+            pooled[v] |= bit
+        elif u not in sup or v not in sup:
             continue  # one end in S⁺ and one outside the support breaks (ii)
-        else:
-            pool = (u, v)
-        allowed |= 1 << i
-        for p in pool:
-            for w in adjacency[p]:
-                shut[i] |= incident[w]
-                near[i] |= 1 << w
+        allowed |= bit
+    # per vertex x: the edges at its neighbors, blocked once x is matched
+    # into the pool, and the allowed edges pooling a neighbor, which (iii)
+    # rules out once x is matched
+    around = [0] * len(adjacency)
+    seen = [0] * len(adjacency)
+    for u, v in pairs:
+        around[u] |= incident[v]
+        around[v] |= incident[u]
+        seen[u] |= pooled[v]
+        seen[v] |= pooled[u]
+    kill = [incident[u] | incident[v] for u, v in pairs]
+    # per edge, what a pick rules out: the edges at its ends, those at a
+    # vertex it blocks, and those pooling a neighbor of its ends
+    shut = [
+        kill[i] | seen[u] | seen[v]
+        | (around[u] if pooled[u] >> i & 1 else 0)
+        | (around[v] if pooled[v] >> i & 1 else 0)
+        for i, (u, v) in enumerate(pairs)
+    ]
 
     nodes = 0
-    # (next allowed index, undominated edges, live edges, matched vertices,
-    # picks so far); a live edge is allowed and touches no matched or
-    # blocked vertex.  Children are pushed largest first so they pop in
-    # ascending order.
-    stack = [(0, (1 << len(edges)) - 1, allowed, 0, ())]
-    while stack:
-        start, undominated, live, matched, chosen = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            raise ResourceLimitError(f"certificate search exceeded {budget} nodes")
-        if not undominated:
-            matching = Matching(edges[i] for i in chosen)
-            violations = _certificate_violations(adjacency, vertices, support, pinned, matching)
-            if next(violations, None) is None:
-                return CertifyingMatchingResult(
-                    matching, _partition(matching, support), _report(CONDITION_IDS, ())
-                )
-            continue
-        later = live >> start << start
-        cap = len(edges)
-        rest = undominated
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            killers = kill[low.bit_length() - 1] & later
-            if not killers:
-                break
-            top = killers.bit_length() - 1
-            if top < cap:
-                cap = top
+    pinned = None
+    picked: list[Edge] = []
+    everyone = (1 << len(adjacency)) - 1
+    left = everyone
+    while left:
+        # the component of the least vertex left, grown by neighbor masks
+        component = frontier = left & -left
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown |= neighbors[low.bit_length() - 1]
+            frontier = grown & ~component
+            component |= frontier
+        left &= ~component
+        if component == everyone:
+            vertices: Sequence[int] = g.vertices()
+            part, own = support, (1 << len(pairs)) - 1
         else:
-            candidates = later & ((2 << cap) - 1)
-            while candidates:
-                i = candidates.bit_length() - 1
-                candidates ^= 1 << i
-                if not near[i] & matched:
-                    child = (undominated & ~kill[i], live & ~shut[i], matched | ends[i])
-                    stack.append((i + 1, *child, chosen + (i,)))
-    return None
+            vertices = []
+            own, rest = 0, component
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                vertices.append(low.bit_length() - 1)
+                own |= incident[vertices[-1]]
+            within = frozenset(vertices)
+            part = SupportClassification(sup & within, support.s_plus & within, s_minus & within)
+        # (undominated edges, live edges, picks so far); a live edge is
+        # allowed, touches no matched or blocked vertex and pools no
+        # neighbor of a matched vertex, as ``shut`` rules out per pick
+        stack = [(own, allowed & own, ())]
+        while stack:
+            undominated, live, chosen = stack.pop()
+            nodes += 1
+            if nodes > budget:
+                raise ResourceLimitError(f"certificate search exceeded {budget} nodes")
+            if not undominated:
+                if pinned is None:
+                    pinned = _pinned_pairs(adjacency, g.vertices())
+                matching = Matching(pairs[i] for i in chosen)
+                violations = _certificate_violations(adjacency, vertices, part, pinned, matching)
+                if next(violations, None) is None:
+                    picked += matching
+                    break
+                continue
+            fewest = len(pairs) + 1
+            rest = undominated
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                killers = kill[low.bit_length() - 1] & live
+                count = killers.bit_count()
+                if count < fewest:
+                    best, fewest = killers, count
+                    if count < 2:
+                        break
+            children = []
+            while best:
+                low = best & -best
+                best ^= low
+                i = low.bit_length() - 1
+                children.append((undominated & ~kill[i], live & ~shut[i], chosen + (i,)))
+                live ^= low
+            stack += reversed(children)
+        else:
+            return None
+    matching = Matching(picked)
+    return CertifyingMatchingResult(
+        matching, _partition(matching, support), _report(CONDITION_IDS, ())
+    )
 
 
 def total_dominating_set_from_matching(g: Graph, m: Matching) -> frozenset[int]:

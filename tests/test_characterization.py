@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -400,11 +401,15 @@ def test_find_on_disconnected_unions_equals_walk_and_oracle():
     assert (kept, with_dense_component, tight) == (445, 80, 59)
 
 
+def shuffled(g, rng):
+    permutation = list(range(g.vertex_count))
+    rng.shuffle(permutation)
+    return helpers.relabel(g, permutation)
+
+
 def relabelled_tight_graph(seed, params):
     g, _ = random_tight_graph(seed, params)
-    permutation = list(range(g.vertex_count))
-    random.Random(seed).shuffle(permutation)
-    return helpers.relabel(g, permutation)
+    return shuffled(g, random.Random(seed))
 
 
 def with_extra_edge(g, seed):
@@ -417,8 +422,10 @@ def with_extra_edge(g, seed):
 def test_find_certifies_relabelled_tight_graphs_within_node_ceilings():
     # Relabelling moves the embedded certificate far back in the order of a
     # full enumeration; an unpruned search over all sizes then passes 10**6
-    # nodes.  The budgets are node ceilings (measured: 22, 23, 19 and 33
-    # nodes on the tight graphs, 15, 37, 23 and 33 on the variants).
+    # nodes.  The budgets are node ceilings (measured: 12, 17, 16 and 20
+    # nodes on the tight graphs, 13, 22, 20 and 23 on the variants; 22, 23,
+    # 19 and 33, and 15, 37, 23 and 33, when the search picked edges in
+    # ascending index order under a budget of 100).
     cases = [(1, TightGraphParams(max_k2=20, max_a=8, mark_probability=0.35, max_vertices=64))]
     cases += [
         (seed, TightGraphParams(max_k2=30, max_a=10, mark_probability=0.35, max_vertices=96))
@@ -427,11 +434,11 @@ def test_find_certifies_relabelled_tight_graphs_within_node_ceilings():
     sizes = []
     for seed, params in cases:
         g = relabelled_tight_graph(seed, params)
-        found = find_certifying_matching(g, budget=100)
+        found = find_certifying_matching(g, budget=40)
         assert found is not None
         assert check_certificate_conditions(g, found.matching).holds
         variant = with_extra_edge(g, seed)
-        found_variant = find_certifying_matching(variant, budget=100)
+        found_variant = find_certifying_matching(variant, budget=40)
         for h, result in ((g, found), (variant, found_variant)):
             if h.vertex_count <= 40:
                 assert (result is not None) == is_tight_graph(h, max_vertices=40)
@@ -444,9 +451,11 @@ BASELINE_PARAMS = TightGraphParams(max_k2=170, max_a=64, mark_probability=0.35, 
 
 @pytest.mark.parametrize(
     "seed, vertices, tight_budget, variant_budget",
-    # measured: 1,877, 1,349 and 115 nodes on the tight graphs, 3,240, 1,456
-    # and 518 on the variants
-    [(0, 360, 2_000, 3_500), (1, 307, 1_500, 1_600), (2, 107, 150, 600)],
+    # measured: 115, 74 and 36 nodes on the tight graphs, 44, 106 and 15 on
+    # the variants (1,877, 1,349 and 115, and 3,240, 1,456 and 518, under
+    # budgets of 2,000/3,500, 1,500/1,600 and 150/600 when the search
+    # picked edges in ascending index order)
+    [(0, 360, 150, 80), (1, 307, 100, 150), (2, 107, 50, 30)],
 )
 def test_find_certifies_hundreds_of_vertices_within_node_ceilings(
     seed, vertices, tight_budget, variant_budget
@@ -462,8 +471,79 @@ def test_find_certifies_hundreds_of_vertices_within_node_ceilings(
 
 
 def test_find_refutes_long_path_within_node_ceiling():
-    # measured: 134 nodes
+    # measured: 134 nodes, as when the search picked edges in ascending
+    # index order
     assert find_certifying_matching(path(200), budget=150) is None
+
+
+def caterpillar(k):
+    """``path(k)`` with a pendant leaf on every third vertex, from 0."""
+    leaves = range(0, k, 3)
+    return Graph(k + len(leaves), [*path(k).edges(), *((v, k + j) for j, v in enumerate(leaves))])
+
+
+def test_find_cost_does_not_follow_the_id_order():
+    # Node ceilings on long sparse graphs with shuffled ids.  Measured: 81
+    # nodes on the 320-vertex caterpillar and 107 on path(160), as in path
+    # order; a search picking edges in ascending index order ran past each
+    # ceiling (12,220 nodes on shuffled path(80) alone, and 47, 192 and 782
+    # on caterpillars of 40, 80 and 160 vertices even in path order).
+    g = shuffled(caterpillar(240), random.Random(99))
+    assert g.vertex_count == 320
+    found = find_certifying_matching(g, budget=150)
+    assert found is not None
+    assert check_certificate_conditions(g, found.matching).holds
+    assert len(found.matching) == 80
+    assert find_certifying_matching(shuffled(path(160), random.Random(99)), budget=200) is None
+
+
+def test_find_cost_adds_over_components():
+    # Each component is searched alone, so a failing part is not retried
+    # against every certificate of the parts before it.  Measured: 32 nodes
+    # on six hexagons then path(20) in block order (3 per hexagon, 14 for
+    # the path), 20 when relabelled (the path's least id comes second), and
+    # 63 on the 38-vertex relabelled tight graph with path(80), where the
+    # search picking edges in ascending index order took 11,662 and 14,649.
+    parts = [cycle(6)] * 6 + [path(20)]
+    block = functools.reduce(helpers.disjoint_union, parts)
+    assert find_certifying_matching(block, budget=60) is None
+    union, _ = helpers.relabelled_union(random.Random(0), parts)
+    assert find_certifying_matching(union, budget=40) is None
+    tight = relabelled_tight_graph(
+        0, TightGraphParams(max_k2=30, max_a=10, mark_probability=0.35, max_vertices=96)
+    )
+    assert tight.vertex_count == 38
+    union, _ = helpers.relabelled_union(random.Random(179), [tight, path(80)])
+    assert find_certifying_matching(union, budget=120) is None
+
+
+def test_find_cost_is_linear_on_relabelled_leafy_tight_graphs():
+    # Under a random id order the search must still certify each draw with
+    # a matching of size μ*, and decide its one-extra-edge variant as the
+    # exact solvers do (an extra edge does not always break equality),
+    # within n + 5 nodes on n vertices.  Measured: at most 24 nodes on the
+    # draws and 23 on the variants, 0.75 and 0.91 per vertex at most; a
+    # search picking edges in ascending index order took up to 33 and 41
+    # (2.07 per vertex) and ran past the ceiling on 7 of the 80 graphs.
+    params = TightGraphParams(max_k2=12, max_a=6, mark_probability=0.35, max_vertices=40)
+    rng = random.Random(2026)
+    draws = tight_variants = 0
+    for seed in range(42):
+        g, _ = random_tight_graph(seed, params)
+        if min_degree(g) != 1:
+            continue
+        draws += 1
+        g = shuffled(g, rng)
+        found = find_certifying_matching(g, budget=g.vertex_count + 5)
+        assert found is not None
+        assert check_certificate_conditions(g, found.matching).holds
+        assert len(found.matching) == minimum_maximal_matching(g, max_vertices=40).value
+        variant = with_extra_edge(g, seed)
+        found = find_certifying_matching(variant, budget=variant.vertex_count + 5)
+        is_tight = is_tight_graph(variant, max_vertices=40)
+        assert (found is not None) == is_tight
+        tight_variants += is_tight
+    assert (draws, tight_variants) == (40, 9)
 
 
 def test_find_budget_propagates():
