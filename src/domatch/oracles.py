@@ -3,14 +3,18 @@
 These are the ground-truth routines the fast recognizer is judged against:
 brute-force computation of the total domination number and the minimum
 maximal matching number, the predicates behind them, and the degree-aware
-upper-bound report.  All searches are deterministic; witnesses are the
-lexicographically least optima under sorted vertex and edge order.
+upper-bound report.  All searches are deterministic.  The two solvers'
+results carry witnesses, the lexicographically least optima under sorted
+vertex and edge order; :func:`check_matching_bound` and
+:func:`is_tight_graph` need only the values and stop before any witness
+is chosen.
 
 Both invariants add over connected components.  One loop,
 :func:`_by_component`, hands each component with an edge to a search in
 place, as a sorted vertex list over the input's adjacency, and sums the
-picks (ids of the input) and nodes; no subgraph is built.  One driver,
-:func:`_deepening_search`, serves both solvers: it deepens the solution
+picks (ids of the input) and nodes; no subgraph is built.
+:func:`_optima` reads both values in one such pass.  One driver,
+:func:`_deepening_search`, serves every search: it deepens the solution
 size, searches on explicit stacks (so depth is not bounded by the
 recursion limit) and counts nodes.  Each solver brings only
 its masks, open neighborhoods for γ_t and edge kill sets for μ* (bit i is
@@ -26,21 +30,26 @@ most one of them; when the packing fills every free slot, each pick of a
 cover settles a different one, and the pass also returns the union of
 their settlers, within which every pick must lie.
 
-The driver runs two searches.  Most of the work is showing that the sizes
-below the optimum are empty, and there pick order does not matter: a
+The driver runs two searches in two phases.  Most of the work is showing
+that the sizes below the optimum are empty, and there pick order does not
+matter: a
 proof branches on the settlers of the element with the fewest (Knuth's
 Algorithm X rule), each later sibling excluding the settlers tried before
 it, and looks for a cover by exactly the free slots' worth of picks,
 taking them only within a tight packing's settlers.  It
 records each node it refutes and cuts a later node with the same
-undominated elements, no other allowed picks and the same free slots.  An
-ordered walk then lists the solutions of each size in lexicographic order:
-it branches on the least allowed pick, taking it or leaving it out,
-follows a proven cover down the branch it belongs to and enters the other
-only once a proof covers it.  A size whose proof fails is empty, so the first size
-with a solution is the optimum, and the walk's first hit is the least
-optimum.  The cuts lose no solution, so witnesses are those of the
-unpruned ordered search.  μ* is the first hit of :func:`_maximal_matchings`,
+undominated elements, no other allowed picks and the same free slots.
+Phase 1 proves each size whole, from the bound up: a size whose proof
+fails is empty, and the first proof that finds a cover settles the
+optimum, since that cover has exactly as many picks as the size.  The
+bound checks stop there, with both values from one pass over the
+components.  Phase 2, the ordered walk, starts from that cover and lists
+the solutions of each size in lexicographic order: it branches on the
+least allowed pick, taking it or leaving it out, follows a proven cover
+down the branch it belongs to and enters the other only once a proof
+covers it, so its first hit is the least optimum.  The cuts lose no
+solution, so witnesses are those of the unpruned ordered search.  μ* is
+the first hit of :func:`_maximal_matchings`,
 which also lists every maximal matching for
 :func:`~domatch.characterization.iter_maximal_matchings`; the certificate
 search prunes by the certificate conditions and needs no μ*.
@@ -217,12 +226,14 @@ def _deepening_search(
     reusable: int,
     bounds: Callable[[int, int, int], tuple[int, int, int]],
     budget: int | None = None,
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each sorted tuple of picks whose ``cover`` masks together cover
-    ``range(len(cover))``, with the search nodes explored so far.
+) -> tuple[int, int, Iterator[tuple[tuple[int, ...], int]]]:
+    """The fewest picks whose ``cover`` masks together cover
+    ``range(len(cover))``, the search nodes it took to prove that, and an
+    iterator over each sorted tuple of picks that covers, with the search
+    nodes explored so far.  Some set of picks must cover.
 
-    Sizes run from the least one ``bounds`` allows to the first empty size
-    after a nonempty one; within a size, picks come in lexicographic order.
+    The iterator's sizes run from the fewest to the first empty size after
+    it; within a size, picks come in lexicographic order.
     Above its last pick a node may pick an undominated element or one of
     ``reusable``.  ``bounds(allowed, undominated, slots)`` counts the picks
     still needed (``slots + 1`` if an undominated element has no allowed
@@ -234,7 +245,8 @@ def _deepening_search(
     settles a different packed element, so the mask is the union of their
     allowed settlers.
 
-    Two searches run.  A proof ignores pick order: it looks for a cover of
+    Two phases share one proof, one refutation table and one node count.
+    A proof ignores pick order: it looks for a cover of
     the undominated elements by exactly the free slots' worth of allowed
     picks (not at most: a maximal matching cannot be padded), branches on
     the fewest settlers in ascending order, and each later sibling excludes
@@ -244,18 +256,22 @@ def _deepening_search(
     node whose children all run out goes into a refutation table, local to
     this call and keyed by the undominated elements and free slots, and the
     proof cuts a later node with the same key and allowed picks among
-    recorded ones.  An ordered walk lists the hits of each size.  Each
+    recorded ones.  Phase 1, run by this call, proves the root of each size
+    from the least one ``bounds`` allows; a size whose root proof fails is
+    empty, and the first whose proof finds a cover is the optimum, since
+    that cover has exactly that many picks.  Phase 2, the iterator, is an
+    ordered walk that lists the hits of each size from the optimum on,
+    starting from phase 1's cover instead of proving the root again.  Each
     entry branches on its least allowed pick, taking it or leaving it out,
     and carries a proven cover of what is left, or None; the branch the
     cover belongs to follows it, and the other is entered only once a proof
     covers it.  The include branch pops first, so hits come in
-    lexicographic order, and the first costs the root proof plus one per
-    allowed pick tried below the known cover's next pick.  A size whose
-    root proof fails is empty.  Only proof nodes count, a cut one too;
-    every walk step runs a proof or follows a known cover, so crossing
-    ``budget`` nodes, which raises
+    lexicographic order, and the first costs one proof per allowed pick
+    tried below the known cover's next pick.  Only proof nodes count, a cut
+    one too; every walk step runs a proof or follows a known cover, so
+    crossing ``budget`` nodes, which raises
     :class:`~domatch.errors.ResourceLimitError`, still bounds the work.
-    Both searches run on explicit stacks, so depth is not bounded by the
+    Both phases run on explicit stacks, so depth is not bounded by the
     recursion limit.
     """
     n = len(cover)
@@ -263,7 +279,6 @@ def _deepening_search(
     keep = [~c for c in cover]
     # (undominated elements, free slots) -> [allowed picks, ...] refuted
     refuted: dict[tuple[int, int], list[int]] = {}
-    nodes = 0
 
     def prove(undominated: int, untried: int, slots: int, nodes: int) -> tuple[int | None, int]:
         # A cover of `undominated` by exactly `slots` allowed picks among
@@ -301,47 +316,60 @@ def _deepening_search(
                 push((undominated & keep[i], untried & ~fewest, slots, picked | 1 << i))
         return None, nodes
 
-    found = False
-    for size in range(bounds(full, full, n)[0], n + 1):
-        hit = False
-        # (undominated, untried, free slots, picks so far, proven cover of
-        # the rest or None)
-        stack: list[tuple[int, int, int, tuple[int, ...], int | None]] = [
-            (full, full, size, (), None)
-        ]
-        pop, push = stack.pop, stack.append
-        while stack:
-            undominated, untried, slots, picks, rest = pop()
-            if rest is None:
-                rest, nodes = prove(undominated, untried, slots, nodes)
+    def walk(optimum: int, rest: int | None, nodes: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        # `rest` is phase 1's cover of the whole at size `optimum`
+        for size in range(optimum, n + 1):
+            hit = False
+            # (undominated, untried, free slots, picks so far, proven cover
+            # of the rest or None)
+            stack: list[tuple[int, int, int, tuple[int, ...], int | None]] = [
+                (full, full, size, (), rest)
+            ]
+            pop, push = stack.pop, stack.append
+            while stack:
+                undominated, untried, slots, picks, rest = pop()
                 if rest is None:
+                    rest, nodes = prove(undominated, untried, slots, nodes)
+                    if rest is None:
+                        continue
+                if slots == 0:
+                    hit = True
+                    yield picks, nodes
                     continue
-            if slots == 0:
-                hit = True
-                yield picks, nodes
-                continue
-            allowed = (undominated | reusable) & untried
-            i = (allowed & -allowed).bit_length() - 1
-            untried = allowed ^ 1 << i
-            # the known cover goes where it belongs; the other branch waits
-            # for a proof, and the include branch pops first
-            if rest >> i & 1:
-                skip, rest = None, rest ^ 1 << i
-            else:
-                skip, rest = rest, None
-            push((undominated, untried, slots, picks, skip))
-            push((undominated & keep[i], untried, slots - 1, picks + (i,), rest))
-        if found and not hit:
-            return
-        found = hit
+                allowed = (undominated | reusable) & untried
+                i = (allowed & -allowed).bit_length() - 1
+                untried = allowed ^ 1 << i
+                # the known cover goes where it belongs; the other branch
+                # waits for a proof, and the include branch pops first
+                if rest >> i & 1:
+                    skip, rest = None, rest ^ 1 << i
+                else:
+                    skip, rest = rest, None
+                push((undominated, untried, slots, picks, skip))
+                push((undominated & keep[i], untried, slots - 1, picks + (i,), rest))
+            if not hit:
+                return
+            rest = None
+
+    nodes = 0
+    for size in range(bounds(full, full, n)[0], n + 1):
+        rest, nodes = prove(full, full, size, nodes)
+        if rest is not None:
+            return size, nodes, walk(size, rest, nodes)
+    raise DomainError("no set of picks covers every element")
 
 
-def _solve_total_domination(
+#: What a search gives: the item each pick index names
+#: (a vertex or an edge), then the optimum, the nodes that proved it and
+#: the ordered walk, as :func:`_deepening_search` returns them.
+_Search = tuple[Sequence, int, int, Iterator[tuple[tuple[int, ...], int]]]
+
+
+def _total_domination_search(
     adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
-) -> tuple[list[int], int]:
-    """Lexicographically least smallest total dominating set of the
-    component on sorted ``vertices`` (bit i is ``vertices[i]``), which has
-    an edge, and the search nodes it took.
+) -> _Search:
+    """The search for the smallest total dominating sets of the component
+    on sorted ``vertices`` (bit i is ``vertices[i]``), which has an edge.
 
     Any vertex may be picked, and dominates its open neighborhood.  An
     undominated vertex with no allowed neighbor cuts the branch.
@@ -385,8 +413,7 @@ def _solve_total_domination(
                         break
         return max(need, least), fewest, used if need == slots else -1
 
-    picks, nodes = next(_deepening_search(nbr, (1 << n) - 1, bounds))
-    return [vertices[i] for i in picks], nodes
+    return (vertices, *_deepening_search(nbr, (1 << n) - 1, bounds))
 
 
 def _edge_masks(
@@ -408,13 +435,12 @@ def _edge_masks(
     return edges, incident, kill, ends
 
 
-def _maximal_matchings(
+def _maximal_matching_search(
     adjacency: Sequence[frozenset[int]], vertices: Sequence[int], budget: int | None = None
-) -> Iterator[tuple[list[Edge], int]]:
-    """The maximal matchings on sorted ``vertices``, a union of components,
-    smallest first, as sorted edge lists, each with the search nodes
-    explored so far.  Their sizes form an interval, so the search may stop
-    at an empty size.
+) -> _Search:
+    """The search for the maximal matchings on sorted ``vertices``, a union
+    of components, whose items are the sorted edges.  Their sizes form an
+    interval, so the walk may stop at an empty size.
 
     A maximal edge set leaves no edge with both ends uncovered
     ("undominated").  Only undominated edges are picked, and a pick
@@ -460,22 +486,50 @@ def _maximal_matchings(
                         break
         return max(packed, -(-disjoint // 2)), fewest, killed if packed == slots else -1
 
-    searches = _deepening_search(kill, 0, bounds, budget)
-    return (([edges[i] for i in picks], nodes) for picks, nodes in searches)
+    return (edges, *_deepening_search(kill, 0, bounds, budget))
 
 
-def _by_component(g: Graph, solve: Callable[..., tuple[list, int]]) -> tuple[list, SearchStats]:
-    """The picks of ``solve(adjacency, sorted component)`` over the
-    components of ``g`` with an edge, and the search they took together."""
+def _maximal_matchings(
+    adjacency: Sequence[frozenset[int]], vertices: Sequence[int], budget: int | None = None
+) -> Iterator[tuple[list[Edge], int]]:
+    """The maximal matchings on sorted ``vertices``, a union of components,
+    smallest first, as sorted edge lists, each with the search nodes
+    explored so far."""
+    edges, _, _, hits = _maximal_matching_search(adjacency, vertices, budget)
+    return (([edges[i] for i in picks], nodes) for picks, nodes in hits)
+
+
+def _by_component(g: Graph, search: Callable[..., _Search]) -> tuple[list, SearchStats]:
+    """The items of the first hit of ``search(adjacency, sorted component)``'s
+    walk, its least optimum, over the components of ``g`` with an edge, and
+    the search they took together."""
     started = perf_counter()
     picks: list = []
     nodes = 0
     for component in connected_components(g):
         if len(component) > 1:
-            local, explored = solve(g._adjacency, sorted(component))
-            picks += local
+            items, _, _, hits = search(g._adjacency, sorted(component))
+            local, explored = next(hits)
+            picks += [items[i] for i in local]
             nodes += explored
     return picks, SearchStats(nodes, perf_counter() - started)
+
+
+def _optima(g: Graph, max_vertices: int | None) -> list[list[int]]:
+    """``[γ_t, nodes]`` and ``[μ*, nodes]`` of ``g``, which must have no
+    isolated vertex, over one pass through its components.  Each search
+    runs phase 1 only: the first size whose root proof finds a cover is the
+    optimum, and no least witness is walked to."""
+    _require_no_isolated(g)
+    _check_size(g, max_vertices)
+    totals = [[0, 0], [0, 0]]
+    for component in connected_components(g):
+        vertices = sorted(component)
+        for total, search in zip(totals, (_total_domination_search, _maximal_matching_search)):
+            _, size, nodes, _ = search(g._adjacency, vertices)
+            total[0] += size
+            total[1] += nodes
+    return totals
 
 
 def total_domination_number(g: Graph, *, max_vertices: int | None = None) -> SolverResult:
@@ -486,7 +540,7 @@ def total_domination_number(g: Graph, *, max_vertices: int | None = None) -> Sol
     """
     _require_no_isolated(g)
     _check_size(g, max_vertices)
-    picks, stats = _by_component(g, _solve_total_domination)
+    picks, stats = _by_component(g, _total_domination_search)
     return SolverResult(len(picks), frozenset(picks), stats)
 
 
@@ -500,7 +554,7 @@ def minimum_maximal_matching(g: Graph, *, max_vertices: int | None = None) -> So
     if g.edge_count == 0:
         raise DomainError("graph has no edges: mu_star undefined")
     _check_size(g, max_vertices)
-    picks, stats = _by_component(g, lambda *component: next(_maximal_matchings(*component)))
+    picks, stats = _by_component(g, _maximal_matching_search)
     return SolverResult(len(picks), Matching(picks), stats)
 
 
@@ -510,20 +564,22 @@ def is_tight_graph(g: Graph, *, max_vertices: int | None = None) -> bool:
 
     The vertices of a maximal matching totally dominate each component, so
     γ_t ≤ 2μ* component by component, and the sums are equal exactly when
-    every component is tight.
+    every component is tight.  Like :func:`check_matching_bound` it reads
+    both values off the root proofs and walks to no witness.
     """
-    return (
-        total_domination_number(g, max_vertices=max_vertices).value
-        == 2 * minimum_maximal_matching(g, max_vertices=max_vertices).value
-    )
+    (gamma_t, _), (mu_star, _) = _optima(g, max_vertices)
+    return gamma_t == 2 * mu_star
 
 
 def check_matching_bound(g: Graph, *, max_vertices: int | None = None) -> BoundReport:
-    """Evaluate the degree-aware upper bound on the total domination number."""
-    _require_no_isolated(g)
+    """Evaluate the degree-aware upper bound on the total domination number.
+
+    Both values are those of :func:`total_domination_number` and
+    :func:`minimum_maximal_matching`, read off the first size whose root
+    proof finds a cover, with no walk to a least witness.
+    """
+    (gamma_t, _), (mu_star, _) = _optima(g, max_vertices)
     delta = min_degree(g)
-    gamma_t = total_domination_number(g, max_vertices=max_vertices).value
-    mu_star = minimum_maximal_matching(g, max_vertices=max_vertices).value
     bound = 2 * mu_star if delta <= 2 else 2 * mu_star - delta + 2
     return BoundReport(
         min_degree=delta,

@@ -27,7 +27,7 @@ from domatch import (
     total_domination_number,
 )
 from domatch.generators import cycle, high_degree_extremal, path, spider, subdivided_grid, triangle_book
-from domatch.oracles import DEFAULT_MAX_VERTICES, _maximal_matchings
+from domatch.oracles import DEFAULT_MAX_VERTICES, _maximal_matchings, _optima
 
 import helpers
 from catalogs import connected_catalog
@@ -173,6 +173,17 @@ def assert_solvers_match_brute_force(g):
     assert (td.value, tuple(sorted(td.witness))) == helpers.brute_total_domination(g)
     mm = minimum_maximal_matching(g)
     assert (mm.value, mm.witness.edges) == helpers.brute_minimum_maximal_matching(g)
+    return td.value, mm.value
+
+
+def assert_bound_report(g, gamma_t, mu_star, delta):
+    # The bound check reads its values off the root proofs, not the
+    # witness solvers; what it reports must follow from the true values.
+    bound = 2 * mu_star if delta <= 2 else 2 * mu_star - delta + 2
+    report = check_matching_bound(g)
+    assert report == (delta, gamma_t, mu_star, bound, bound - gamma_t, gamma_t <= bound)
+    assert report.holds
+    assert is_tight_graph(g) == (gamma_t == 2 * mu_star)
 
 
 def test_solvers_match_brute_force_on_every_seven_vertex_graph():
@@ -187,7 +198,10 @@ def test_solvers_match_brute_force_on_relabelled_random_graphs():
     # the proofs and the ordered walk take other paths; witnesses must not
     # move with them.  The graphs of minimum degree three are dense enough
     # that greedy packings often fill every free slot, where the proof
-    # confines its picks to the packing's settlers.
+    # confines its picks to the packing's settlers, and their bound is
+    # 2 mu* - delta + 2.  Each graph is also joined, under a second stream's
+    # relabelling, to the one before it: the values add over the parts,
+    # and the minimum degree is the smaller one.
     dense = [
         g
         for seed in range(200)
@@ -200,12 +214,21 @@ def test_solvers_match_brute_force_on_relabelled_random_graphs():
         helpers.random_connected_graph(rng, n, rng.randint(0, 18 - (n - 1)))
         for n in (rng.randint(8, 11) for _ in range(400))
     )
+    unions = random.Random(2019)
+    previous = None
     for g in itertools.chain(drawn, dense):
         permutation = list(range(g.vertex_count))
         rng.shuffle(permutation)
         h = helpers.relabel(g, permutation)
         assert h.edge_count <= 18
-        assert_solvers_match_brute_force(h)
+        gamma_t, mu_star = assert_solvers_match_brute_force(h)
+        assert_bound_report(h, gamma_t, mu_star, min_degree(h))
+        if previous is not None:
+            part, part_gamma_t, part_mu_star = previous
+            union, _ = helpers.relabelled_union(unions, [part, g])
+            delta = min(min_degree(part), min_degree(g))
+            assert_bound_report(union, part_gamma_t + gamma_t, part_mu_star + mu_star, delta)
+        previous = g, gamma_t, mu_star
 
 
 def test_solver_node_ceilings():
@@ -255,10 +278,23 @@ def test_solver_node_totals_on_the_small_catalog():
     # is mostly the first size tried, where the proof reaches a solution and
     # the ordered walk proves the smaller picks at each level empty to reach
     # the least one.
+    # The bound checks stop at the first size whose root proof finds a
+    # cover and walk to no witness: 3,603 and 9,270 nodes.
     graphs = [g for n in range(2, 8) for g in connected_catalog(n)]
     assert len(graphs) == 995
     assert sum(total_domination_number(g).stats.nodes for g in graphs) == 6_226
     assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 13_003
+    optimum_nodes = [0, 0]
+    for g in graphs:
+        (gamma_t, gamma_t_nodes), (mu_star, mu_star_nodes) = _optima(g, None)
+        assert gamma_t == total_domination_number(g).value
+        assert mu_star == minimum_maximal_matching(g).value
+        report = check_matching_bound(g)
+        assert (report.gamma_t, report.mu_star) == (gamma_t, mu_star)
+        assert is_tight_graph(g) == (gamma_t == 2 * mu_star)
+        optimum_nodes[0] += gamma_t_nodes
+        optimum_nodes[1] += mu_star_nodes
+    assert optimum_nodes == [3_603, 9_270]
 
 
 def test_solver_witnesses_and_nodes_at_bench_scale():
@@ -267,9 +303,12 @@ def test_solver_witnesses_and_nodes_at_bench_scale():
     # lexicographically least witness, so a prune that cuts a solution, or
     # changes which optimum comes first, fails here; the node totals are
     # deterministic counters of the same searches: 1,314 and 5,660 when a
-    # tight packing does not confine the proof's picks to its settlers.
+    # tight packing does not confine the proof's picks to its settlers.  The
+    # bound checks must give the same values from the root proofs alone,
+    # which take 506 and 2,059 nodes.
     lines = {"gamma_t": [], "mu_star": []}
     nodes = {"gamma_t": 0, "mu_star": 0}
+    optimum_nodes = {"gamma_t": 0, "mu_star": 0}
     degrees = set()
     for params in helpers.BENCH_SCALE_SPARSE:
         g = helpers.sparse_graph(*params)
@@ -281,6 +320,13 @@ def test_solver_witnesses_and_nodes_at_bench_scale():
         lines["mu_star"].append(f"{params} {mu_star.value} {[(e.u, e.v) for e in mu_star.witness]}")
         nodes["gamma_t"] += gamma_t.stats.nodes
         nodes["mu_star"] += mu_star.stats.nodes
+        (gamma_t_value, gamma_t_nodes), (mu_star_value, mu_star_nodes) = _optima(g, 30)
+        assert (gamma_t_value, mu_star_value) == (gamma_t.value, mu_star.value)
+        report = check_matching_bound(g, max_vertices=30)
+        assert (report.gamma_t, report.mu_star) == (gamma_t.value, mu_star.value)
+        assert is_tight_graph(g, max_vertices=30) == (gamma_t.value == 2 * mu_star.value)
+        optimum_nodes["gamma_t"] += gamma_t_nodes
+        optimum_nodes["mu_star"] += mu_star_nodes
     digests = {k: hashlib.sha256("\n".join(v).encode()).hexdigest() for k, v in lines.items()}
     assert digests == {
         "gamma_t": "97af8a51ee3b26dc8e8b4414468ad99264ed90bba956c5643590d230d960a29d",
@@ -288,6 +334,7 @@ def test_solver_witnesses_and_nodes_at_bench_scale():
     }
     assert degrees == {1, 2, 3}
     assert nodes == {"gamma_t": 909, "mu_star": 3_725}
+    assert optimum_nodes == {"gamma_t": 506, "mu_star": 2_059}
 
 
 def test_solver_search_depth_is_not_bounded_by_recursion():
