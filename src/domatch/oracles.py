@@ -54,6 +54,12 @@ which also lists every maximal matching for
 :func:`~domatch.characterization.iter_maximal_matchings`; the certificate
 search prunes by the certificate conditions and needs no μ*.
 
+The γ_t search of a bipartite component runs the driver once per colour
+class: a vertex is dominated only from the other class, so the open
+neighborhoods split into two independent covering problems, and the
+optimum, the nodes and the least witness combine over the two like over
+components.  μ* has no such split: its kill sets keep a component whole.
+
 Intended for desk-scale instances.  A hard vertex limit (default
 :data:`DEFAULT_MAX_VERTICES`) turns oversized inputs into a loud
 :class:`~domatch.errors.ResourceLimitError` instead of an open-ended run.
@@ -61,6 +67,7 @@ Intended for desk-scale instances.  A hard vertex limit (default
 
 from __future__ import annotations
 
+from itertools import islice
 from time import perf_counter
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -117,8 +124,10 @@ class Matching(tuple):
 class SearchStats(NamedTuple):
     """Size of the search that produced a result.
 
-    ``nodes`` is reproducible run to run; ``seconds`` is wall-clock time and
-    is informational only.
+    ``nodes`` is reproducible run to run and sums every search the result
+    took: each component's, and for γ_t both colour classes' of a
+    bipartite one.  ``seconds`` is wall-clock time and is informational
+    only.
     """
 
     nodes: int
@@ -226,11 +235,15 @@ def _deepening_search(
     reusable: int,
     bounds: Callable[[int, int, int], tuple[int, int, int]],
     budget: int | None = None,
+    start: tuple[int, int] | None = None,
 ) -> tuple[int, int, Iterator[tuple[tuple[int, ...], int]]]:
     """The fewest picks whose ``cover`` masks together cover
     ``range(len(cover))``, the search nodes it took to prove that, and an
     iterator over each sorted tuple of picks that covers, with the search
-    nodes explored so far.  Some set of picks must cover.
+    nodes explored so far.  Some set of picks must cover.  ``start``, a
+    pair of masks (undominated elements, untried picks), narrows the root
+    to covering those elements with those picks; by default both are all
+    ones.
 
     The iterator's sizes run from the fewest to the first empty size after
     it; within a size, picks come in lexicographic order.
@@ -275,7 +288,7 @@ def _deepening_search(
     recursion limit.
     """
     n = len(cover)
-    full = (1 << n) - 1
+    root_undominated, root_untried = start or ((1 << n) - 1,) * 2
     keep = [~c for c in cover]
     # (undominated elements, free slots) -> [allowed picks, ...] refuted
     refuted: dict[tuple[int, int], list[int]] = {}
@@ -323,7 +336,7 @@ def _deepening_search(
             # (undominated, untried, free slots, picks so far, proven cover
             # of the rest or None)
             stack: list[tuple[int, int, int, tuple[int, ...], int | None]] = [
-                (full, full, size, (), rest)
+                (root_undominated, root_untried, size, (), rest)
             ]
             pop, push = stack.pop, stack.append
             while stack:
@@ -352,8 +365,8 @@ def _deepening_search(
             rest = None
 
     nodes = 0
-    for size in range(bounds(full, full, n)[0], n + 1):
-        rest, nodes = prove(full, full, size, nodes)
+    for size in range(bounds(root_untried, root_undominated, n)[0], n + 1):
+        rest, nodes = prove(root_undominated, root_untried, size, nodes)
         if rest is not None:
             return size, nodes, walk(size, rest, nodes)
     raise DomainError("no set of picks covers every element")
@@ -361,7 +374,8 @@ def _deepening_search(
 
 #: What a search gives: the item each pick index names
 #: (a vertex or an edge), then the optimum, the nodes that proved it and
-#: the ordered walk, as :func:`_deepening_search` returns them.
+#: the ordered walk, as :func:`_deepening_search` returns them (for γ_t on
+#: a bipartite component, a walk to the first hit only).
 _Search = tuple[Sequence, int, int, Iterator[tuple[tuple[int, ...], int]]]
 
 
@@ -378,6 +392,16 @@ def _total_domination_search(
     degree first, ties by index.  The O(1) count bound (a pick dominates at
     most ``max_cover`` vertices) is tried before that packing, and on the
     whole component the larger bound is the first size.
+
+    A component with an odd cycle is one search.  A bipartite one, found
+    by 2-colouring breadth-first layers, is two: each colour class is
+    dominated only from the other, so one search covers each class with
+    picks from the other, and the optima are exactly the unions of one
+    optimum per class.  Optimum and nodes are the two searches' sums, and
+    the walk yields only the first hit, the sorted union of the two first
+    hits: among optima of equal size the lesser holds the least element
+    where they differ, and that element lies in one class, where the
+    least optimum holds it, so the union is the least optimum.
     """
     position = {v: i for i, v in enumerate(vertices)}
     nbr = [sum(1 << position[w] for w in adjacency[v]) for v in vertices]
@@ -413,7 +437,27 @@ def _total_domination_search(
                         break
         return max(need, least), fewest, used if need == slots else -1
 
-    return (vertices, *_deepening_search(nbr, (1 << n) - 1, bounds))
+    full = (1 << n) - 1
+    # 2-colour by breadth-first layers; an edge inside a layer closes an odd cycle
+    near = far = 0
+    layer = seen = 1
+    while layer:
+        near, far = far, near | layer
+        reach, rest = 0, layer
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reach |= nbr[low.bit_length() - 1]
+        if reach & layer:
+            return (vertices, *_deepening_search(nbr, full, bounds))
+        layer = reach & ~seen
+        seen |= layer
+    # each class is dominated by picks from the other alone
+    (size, nodes, hits), (more, extra, more_hits) = (
+        _deepening_search(nbr, full, bounds, start=pair) for pair in ((near, far), (far, near))
+    )
+    first = ((tuple(sorted(a + b)), i + j) for (a, i), (b, j) in islice(zip(hits, more_hits), 1))
+    return vertices, size + more, nodes + extra, first
 
 
 def _edge_masks(

@@ -234,18 +234,25 @@ def test_solvers_match_brute_force_on_relabelled_random_graphs():
 def test_solver_node_ceilings():
     # Deterministic counters, never seconds.  cycle(60) comes last: a search
     # without the packing bounds exceeds the earlier ceilings first instead of
-    # running for minutes.  spider(10) takes 31 nodes, and 213 when the
+    # running for minutes.  spider(10) takes 32 nodes, and 121 when the
     # packing visits undominated vertices in index order, not fewest
-    # dominators first.  subdivided_grid(7) takes 1,806 nodes (1,816 when a
-    # tight packing does not confine the proof's picks to its settlers),
-    # 3,604 when the proof keeps no refutation table, and 5,760 when the
-    # sizes below the optimum are searched in lexicographic order instead of
-    # proven empty by fewest-settlers branching; sparse_graph(5, 28, 0, 3)
-    # has μ* = 9 and takes 987 nodes (1,304 without the tight-packing rule,
-    # 1,202 with no table), and 6,119 in lexicographic order, 5,684 of them
-    # proving size 8 empty.
+    # dominators first.  The subdivided grids are bipartite, so each colour
+    # class is covered by its own search from the other class:
+    # subdivided_grid(7) takes 156 nodes (204 when the proof keeps no
+    # refutation table) and subdivided_grid(12) 1,440 (2,244 with no table,
+    # 1,490 when a tight packing does not confine the proof's picks to its
+    # settlers); one search over both classes at once takes 1,806 and
+    # 173,493.  sparse_graph(5, 28, 0, 3) has μ* = 9 and takes 987 nodes
+    # (1,304 without the tight-packing rule, 1,202 with no table), and 6,119
+    # in lexicographic order, 5,684 of them proving size 8 empty.
     assert total_domination_number(spider(10), max_vertices=64).stats.nodes <= 100
-    assert total_domination_number(subdivided_grid(7), max_vertices=64).stats.nodes <= 2_270
+    assert total_domination_number(subdivided_grid(7), max_vertices=64).stats.nodes <= 180
+    grid = total_domination_number(subdivided_grid(12), max_vertices=50)
+    assert grid.value == 26
+    assert hashlib.sha256(str(sorted(grid.witness)).encode()).hexdigest() == (
+        "44dc91874fecb7585a38145def157b689ff3bb9274da1e24463a81c3e0f46b43"
+    )
+    assert grid.stats.nodes <= 1_700
     assert minimum_maximal_matching(cycle(32), max_vertices=64).stats.nodes <= 1_000
     sparse = minimum_maximal_matching(helpers.sparse_graph(5, 28, 0, 3), max_vertices=30)
     assert sparse.value == 9
@@ -272,17 +279,20 @@ def test_second_maximal_matching_resumes_from_the_first():
 def test_solver_node_totals_on_the_small_catalog():
     # Deterministic counters over the 995 connected graphs on 2..7 vertices.
     # Dropping either solver's packing bound makes its total grow, and so
-    # does packing in index order (6,521 and 13,913), keeping no refutation
-    # table (6,245 and 13,922) or letting the proof pick outside a tight
-    # packing's settlers (6,410 and 13,978).  On graphs this small the optimum
+    # does packing in index order (6,532 and 13,913), keeping no refutation
+    # table (6,268 and 13,922) or letting the proof pick outside a tight
+    # packing's settlers (6,422 and 13,978).  On graphs this small the optimum
     # is mostly the first size tried, where the proof reaches a solution and
     # the ordered walk proves the smaller picks at each level empty to reach
-    # the least one.
+    # the least one.  A bipartite graph's γ_t is two searches, one per colour
+    # class, each proving its own first size: 6,226 nodes in all when both
+    # classes share one search.
     # The bound checks stop at the first size whose root proof finds a
-    # cover and walk to no witness: 3,603 and 9,270 nodes.
+    # cover and walk to no witness: 3,671 and 9,270 nodes (3,603 for γ_t
+    # with one search per bipartite graph).
     graphs = [g for n in range(2, 8) for g in connected_catalog(n)]
     assert len(graphs) == 995
-    assert sum(total_domination_number(g).stats.nodes for g in graphs) == 6_226
+    assert sum(total_domination_number(g).stats.nodes for g in graphs) == 6_249
     assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 13_003
     optimum_nodes = [0, 0]
     for g in graphs:
@@ -294,7 +304,7 @@ def test_solver_node_totals_on_the_small_catalog():
         assert is_tight_graph(g) == (gamma_t == 2 * mu_star)
         optimum_nodes[0] += gamma_t_nodes
         optimum_nodes[1] += mu_star_nodes
-    assert optimum_nodes == [3_603, 9_270]
+    assert optimum_nodes == [3_671, 9_270]
 
 
 def test_solver_witnesses_and_nodes_at_bench_scale():
@@ -338,12 +348,14 @@ def test_solver_witnesses_and_nodes_at_bench_scale():
 
 
 def test_solver_search_depth_is_not_bounded_by_recursion():
-    # One search level per pick: 200 edges for cycle(600), 300 vertices for
-    # path(600), in the proof and again in the ordered walk to the least
-    # witness.  With the recursion limit 100 frames above the caller, a
-    # search that recursed per level would raise RecursionError.  The proof
-    # keeps its picks within a tight packing's settlers; without that rule
-    # the counts are 599 and 898.
+    # One search level per pick: 200 edges for cycle(600), and 150
+    # vertices for each colour class of path(600), which is bipartite, so
+    # γ_t is one search per class; each runs in the proof and again in the
+    # ordered walk to the least witness.  With the recursion limit 100
+    # frames above the caller, a search that recursed per level would raise
+    # RecursionError.  The proof keeps its picks within a tight packing's
+    # settlers; without that rule the counts are 599 and 899.  One search
+    # over both classes takes 600 nodes for γ_t.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
@@ -352,7 +364,7 @@ def test_solver_search_depth_is_not_bounded_by_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert (mu_star.value, mu_star.stats.nodes) == (200, 500)
-    assert (gamma_t.value, gamma_t.stats.nodes) == (300, 600)
+    assert (gamma_t.value, gamma_t.stats.nodes) == (300, 749)
     assert is_maximal_matching(cycle(600), mu_star.witness.edges)
     assert is_total_dominating(path(600), gamma_t.witness)
 
