@@ -12,6 +12,12 @@ input file.  The solver vertex limit can be raised per call with
 ``--max-vertices`` or globally through the ``DOMATCH_MAX_VERTICES``
 environment variable; an explicit flag wins.
 
+Each graph subcommand's handler returns one list of (machine line, human
+line) pairs, None where a form has no such line, and :func:`_emit` alone
+prints the form ``--machine`` picks.  Lists render through :func:`_listing`
+and yes/no lines through the :data:`_ANSWERS` table; errors are raised and
+:func:`main` prints them.
+
 Every subcommand needs ``errors``, ``graph`` and ``oracles``, which are
 imported here; ``generators``, ``recognizer`` and ``characterization`` are
 imported inside the handlers that use them, so a child process running one
@@ -23,7 +29,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Sequence
+from itertools import zip_longest
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError, DomatchError, EdgeListFormatError
 from .graph import (
@@ -73,10 +80,6 @@ def _read_text(path: str) -> str:
         raise EdgeListFormatError(f"{path} is not UTF-8 text: {error}") from None
 
 
-def _load_graph(path: str) -> Graph:
-    return parse_edge_list(_read_text(path))
-
-
 def _load_matching_edges(g: Graph, path: str) -> list[Edge]:
     """Matching files hold edge lines in the graph's labels, plus comments."""
     edges: list[Edge] = []
@@ -113,192 +116,188 @@ def _resolve_limit(flag_value: int | None) -> int | None:
         raise DomainError(f"{MAX_VERTICES_ENV}={raw!r} is not an integer") from None
 
 
-def _machine_header(argv: Sequence[str], g: Graph) -> list[str]:
-    lines = ["command: " + " ".join(argv)]
-    lines.append(f"vertices: {g.vertex_count}")
-    lines.append(f"edges: {g.edge_count}")
-    # Every handler has refused the empty graph by now, so min_degree is defined.
-    lines.append(f"min_degree: {min_degree(g)}")
-    gi = girth(g)
-    lines.append("girth: infinite" if gi == INFINITE_GIRTH else f"girth: {gi}")
-    return lines
+#: One report line in both forms, (machine line, human line); a form that
+#: has no such line holds None.
+Line = tuple[str | None, str | None]
+
+#: Every yes/no line by kind: machine yes, machine no, human yes, human no
+#: (None: no human line).  ``{}`` takes a condition's name.
+_ANSWERS = {
+    "holds": ("holds: yes", "holds: no") * 2,
+    "verdict": ("verdict: yes", "verdict: no") * 2,
+    "component_verdict": ("component_verdict: yes", "component_verdict: no", None, None),
+    "matching": ("matching: yes", "matching: no", None, "matching: no (edges share an endpoint)"),
+    "condition": (
+        "condition_{}: yes", "condition_{}: no", "condition {}: ok", "condition {}: violated"
+    ),
+    "certificate": (
+        "verdict: holds", "verdict: fails",
+        "verdict: certificate holds", "verdict: certificate fails",
+    ),
+}
 
 
-def _emit(lines: list[str], code: int, *, machine: bool) -> int:
-    print("\n".join(lines + [f"exit: {code}"] if machine else lines))
+def _answer(kind: str, yes: bool, name: str = "") -> Line:
+    machine, human = _ANSWERS[kind][not yes :: 2]  # the yes pair or the no pair
+    return machine.format(name), human and human.format(name)
+
+
+def _listing(key: str, items: list[str], human: str | None = None, sep: str = ", ") -> list[Line]:
+    """One machine line ``key: item`` per item and, unless ``human`` is None,
+    the human line ``human: `` with the items joined by ``sep`` or ``none``."""
+    shown = None if human is None else f"{human}: {sep.join(items) or 'none'}"
+    return list(zip_longest([f"{key}: {item}" for item in items], [shown]))
+
+
+def _value(key: str, value: int) -> Line:
+    return f"{key}: {value}", f"{key} = {value}"
+
+
+def _edge_labels(g: Graph, edges: Iterable[Edge]) -> list[str]:
+    return [f"{g.label(e.u)} {g.label(e.v)}" for e in edges]
+
+
+def _emit(
+    args: argparse.Namespace, argv: Sequence[str], g: Graph, report: list[Line], code: int
+) -> int:
+    """Print ``report`` in the form ``--machine`` picks; the machine form
+    opens with a header on ``g`` and closes with the exit code."""
+    if args.machine:
+        gi = girth(g)
+        # Every handler has refused the empty graph by now, so min_degree is defined.
+        lines = [
+            "command: " + " ".join(argv),
+            f"vertices: {g.vertex_count}",
+            f"edges: {g.edge_count}",
+            f"min_degree: {min_degree(g)}",
+            "girth: infinite" if gi == INFINITE_GIRTH else f"girth: {gi}",
+        ]
+        lines += [machine for machine, _ in report if machine is not None]
+        lines.append(f"exit: {code}")
+    else:
+        lines = [human for _, human in report if human is not None]
+    print("\n".join(lines))
     return code
 
 
-def _edge_label(g: Graph, e: Edge) -> str:
-    return f"{g.label(e.u)} {g.label(e.v)}"
-
-
-def _run_gamma_t(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    g = _load_graph(args.graph)
+def _run_gamma_t(args: argparse.Namespace, g: Graph) -> tuple[list[Line], int]:
     result = total_domination_number(g, max_vertices=_resolve_limit(args.max_vertices))
     witness = [g.label(v) for v in sorted(result.witness)]
-    if args.machine:
-        lines = _machine_header(argv, g) + [f"gamma_t: {result.value}"]
-        lines += [f"witness_vertex: {label}" for label in witness]
-    else:
-        lines = [f"gamma_t = {result.value}", "witness: " + " ".join(witness)]
-    return _emit(lines, 0, machine=args.machine)
+    listing = _listing("witness_vertex", witness, "witness", " ")
+    return [_value("gamma_t", result.value), *listing], 0
 
 
-def _run_mu_star(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    g = _load_graph(args.graph)
+def _run_mu_star(args: argparse.Namespace, g: Graph) -> tuple[list[Line], int]:
     result = minimum_maximal_matching(g, max_vertices=_resolve_limit(args.max_vertices))
     assert isinstance(result.witness, Matching)
-    witness = [_edge_label(g, e) for e in result.witness]
-    if args.machine:
-        lines = _machine_header(argv, g) + [f"mu_star: {result.value}"]
-        lines += [f"witness_edge: {label}" for label in witness]
-    else:
-        lines = [f"mu_star = {result.value}", "witness: " + ", ".join(witness)]
-    return _emit(lines, 0, machine=args.machine)
+    witness = _edge_labels(g, result.witness)
+    return [_value("mu_star", result.value), *_listing("witness_edge", witness, "witness")], 0
 
 
-def _run_bounds(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    g = _load_graph(args.graph)
-    report = check_matching_bound(g, max_vertices=_resolve_limit(args.max_vertices))
+def _run_bounds(args: argparse.Namespace, g: Graph) -> tuple[list[Line], int]:
+    bound = check_matching_bound(g, max_vertices=_resolve_limit(args.max_vertices))
     # The machine header already carries the minimum degree.
-    lines = _machine_header(argv, g) if args.machine else [f"min_degree = {report.min_degree}"]
-    separator = ": " if args.machine else " = "
-    for key in ("gamma_t", "mu_star", "bound", "slack"):
-        lines.append(f"{key}{separator}{getattr(report, key)}")
-    lines.append("holds: yes" if report.holds else "holds: no")
-    return _emit(lines, 0 if report.holds else 1, machine=args.machine)
+    report: list[Line] = [(None, f"min_degree = {bound.min_degree}")]
+    report += [_value(k, getattr(bound, k)) for k in ("gamma_t", "mu_star", "bound", "slack")]
+    return report + [_answer("holds", bound.holds)], 0 if bound.holds else 1
 
 
-def _certificate_lines(g: Graph, certificate) -> tuple[str, list[str]]:
-    """Human line and machine lines for one component's certificate."""
+def _certificate_lines(g: Graph, certificate, human: str) -> list[Line]:
+    """Lines for one component's certificate; ``human`` opens its human line."""
     from .recognizer import CertifyingMatching, ExceptionalBook, ExceptionalSixCycle, Refutation
 
     if isinstance(certificate, ExceptionalBook):
         pages = certificate.pages
-        return (
-            f"yes - triangle book ({pages} page{'s' if pages != 1 else ''})",
-            ["certificate: triangle-book", f"book_pages: {pages}"],
-        )
+        human += f"yes - triangle book ({pages} page{'s' if pages != 1 else ''})"
+        return [("certificate: triangle-book", human), (f"book_pages: {pages}", None)]
     if isinstance(certificate, ExceptionalSixCycle):
-        return "yes - six-cycle", ["certificate: six-cycle"]
+        return [("certificate: six-cycle", f"{human}yes - six-cycle")]
     if isinstance(certificate, CertifyingMatching):
-        edges = [_edge_label(g, e) for e in certificate.matching]
-        return (
-            "yes - certifying matching: " + ", ".join(edges),
-            ["certificate: certifying-matching"] + [f"certificate_edge: {e}" for e in edges],
-        )
+        edges = _edge_labels(g, certificate.matching)
+        listing = _listing("certificate_edge", edges, f"{human}yes - certifying matching")
+        return [("certificate: certifying-matching", None), *listing]
     assert isinstance(certificate, Refutation)
-    lines = ["certificate: refutation", f"refutation_reason: {certificate.reason}"]
-    lines += [f"refutation_vertex: {g.label(v)}" for v in certificate.vertices]
-    if certificate.detail:
-        lines.append(f"refutation_detail: {certificate.detail}")
-    return f"no - {certificate.reason}: {certificate.detail}", lines
+    reason, detail = certificate.reason, certificate.detail
+    report: list[Line] = [
+        ("certificate: refutation", f"{human}no - {reason}: {detail}"),
+        (f"refutation_reason: {reason}", None),
+    ]
+    report += _listing("refutation_vertex", [g.label(v) for v in certificate.vertices])
+    if detail:
+        report.append((f"refutation_detail: {detail}", None))
+    return report
 
 
-def _run_recognize(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _condition_lines(g: Graph, conditions: ConditionReport) -> list[Line]:
+    """Each condition's verdict, followed by its violations."""
+    report: list[Line] = []
+    for condition, verdict in conditions.verdicts.items():
+        report.append(_answer("condition", verdict, condition))
+        for violation in conditions.violations:
+            if violation.condition == condition:
+                labels = [g.label(v) for v in violation.vertices]
+                labels += [g.label(w) for e in violation.edges for w in e]
+                suffix = f" (vertices: {' '.join(labels)})" if labels else ""
+                machine = f"violation_{condition}: " + " ".join(labels)
+                report.append((machine, f"  {violation.message}{suffix}"))
+    return report
+
+
+def _run_recognize(args: argparse.Namespace, g: Graph) -> tuple[list[Line], int]:
     from .recognizer import recognize
 
-    g = _load_graph(args.graph)
     delta = min_degree(g)
     if delta != 2:
-        print(f"error: minimum degree {delta}, expected exactly 2", file=sys.stderr)
-        print(
-            "hint: recognition covers minimum degree two only; use gamma-t and"
-            " mu-star for exact values, or verify with a candidate matching",
-            file=sys.stderr,
+        raise DomainError(
+            f"minimum degree {delta}, expected exactly 2\nhint: recognition covers minimum"
+            " degree two only; use gamma-t and mu-star for exact values, or verify with a"
+            " candidate matching"
         )
-        return 2
     outcome = recognize(g)
     if args.oracle:
-        oracle_verdict = is_tight_graph(g, max_vertices=_resolve_limit(args.max_vertices))
-        if oracle_verdict != outcome.verdict:
-            print("error: recognizer and oracle disagree", file=sys.stderr)
-            return 2
-    lines = _machine_header(argv, g) if args.machine else []
+        if is_tight_graph(g, max_vertices=_resolve_limit(args.max_vertices)) != outcome.verdict:
+            raise DomatchError("recognizer and oracle disagree")
+    report: list[Line] = []
     for index, component in enumerate(outcome.components, start=1):
-        human, machine = _certificate_lines(g, component.certificate)
-        if args.machine:
-            lines.append(f"component: {index}")
-            lines.append(f"component_verdict: {'yes' if component.verdict else 'no'}")
-            lines += machine
-        else:
-            size = len(component.vertices)
-            lines.append(f"component {index} ({size} vertices): {human}")
-    lines.append(f"verdict: {'yes' if outcome.verdict else 'no'}")
+        report += [(f"component: {index}", None), _answer("component_verdict", component.verdict)]
+        human = f"component {index} ({len(component.vertices)} vertices): "
+        report += _certificate_lines(g, component.certificate, human)
+    report.append(_answer("verdict", outcome.verdict))
     if args.oracle:
-        lines.append("oracle: agrees")
-    return _emit(lines, 0 if outcome.verdict else 1, machine=args.machine)
+        report.append(("oracle: agrees",) * 2)
+    return report, 0 if outcome.verdict else 1
 
 
-def _condition_line(condition: str, verdict: bool, *, machine: bool) -> str:
-    if machine:
-        return f"condition_{condition}: {'yes' if verdict else 'no'}"
-    return f"condition {condition}: {'ok' if verdict else 'violated'}"
-
-
-def _condition_lines(
-    g: Graph, report: ConditionReport, *, machine: bool
-) -> list[str]:
-    lines: list[str] = []
-    for condition, verdict in report.verdicts.items():
-        lines.append(_condition_line(condition, verdict, machine=machine))
-        for violation in report.violations:
-            if violation.condition != condition:
-                continue
-            labels = [g.label(v) for v in violation.vertices]
-            labels += [g.label(w) for e in violation.edges for w in e]
-            if machine:
-                lines.append(f"violation_{condition}: " + " ".join(labels))
-            else:
-                suffix = f" (vertices: {' '.join(labels)})" if labels else ""
-                lines.append(f"  {violation.message}{suffix}")
-    return lines
-
-
-def _run_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _run_verify(args: argparse.Namespace, g: Graph) -> tuple[list[Line], int]:
     from .characterization import _certificate_evidence, _require_low_degree
     from .recognizer import check_degree_two_certificate
 
-    g = _load_graph(args.graph)
     edges = _load_matching_edges(g, args.matching)
     delta = _require_low_degree(g)
-    machine = args.machine
-    lines = _machine_header(argv, g) if machine else []
-    if machine:
-        lines += [f"matching_edge: {_edge_label(g, e)}" for e in sorted(set(edges))]
-
-    report: ConditionReport | None = None
+    report = _listing("matching_edge", _edge_labels(g, sorted(set(edges))))
+    conditions: ConditionReport | None = None
     try:
         m = Matching(edges)
     except DomainError:
-        lines.append("matching: no" if machine else "matching: no (edges share an endpoint)")
+        report.append(_answer("matching", False))
     else:
-        if machine:
-            lines.append("matching: yes")
+        report.append(_answer("matching", True))
         if delta == 2:
-            report = check_degree_two_certificate(g, m)
+            conditions = check_degree_two_certificate(g, m)
         else:
             evidence = _certificate_evidence(g, m)
-            lines.append(_condition_line("maximal", evidence is not None, machine=machine))
+            report.append(_answer("condition", evidence is not None, "maximal"))
             if evidence is not None:
-                partition, report = evidence
+                partition, conditions = evidence
                 for name, part in partition._asdict().items():  # field names are output keys
-                    if machine:
-                        lines += [f"{name}_edge: {_edge_label(g, e)}" for e in part]
-                    else:
-                        shown = ", ".join(_edge_label(g, e) for e in part) or "none"
-                        lines.append(f"{name}: {shown}")
-    if report is not None:
-        lines += _condition_lines(g, report, machine=machine)
-
-    holds = report is not None and report.holds
-    verdict = "holds" if holds else "fails"
-    lines.append(f"verdict: {verdict}" if machine else f"verdict: certificate {verdict}")
-    return _emit(lines, 0 if holds else 1, machine=machine)
+                    report += _listing(f"{name}_edge", _edge_labels(g, part), name)
+    if conditions is not None:
+        report += _condition_lines(g, conditions)
+    holds = conditions is not None and conditions.holds
+    return report + [_answer("certificate", holds)], 0 if holds else 1
 
 
-def _run_generate(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _run_generate(args: argparse.Namespace) -> int:
     from . import generators
 
     family = args.family
@@ -317,7 +316,7 @@ def _run_generate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.seed is None:
         raise DomainError("family-f requires --seed")
     g, matching = build(args.seed)
-    comments = "".join(f"# {_edge_label(g, e)}\n" for e in matching)
+    comments = "".join(f"# {edge}\n" for edge in _edge_labels(g, matching))
     sys.stdout.write("# certifying matching:\n" + comments + serialize_edge_list(g))
     return 0
 
@@ -365,23 +364,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=_FAMILIES)
     p.add_argument("params", nargs="*", type=int, help="family parameters")
     p.add_argument("--seed", type=int, default=None, help="seed for family-f")
-    p.set_defaults(run=_run_generate)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
-        return args.run(args, argv)
-    except DomatchError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
+        if args.command == "generate":
+            return _run_generate(args)
+        g = parse_edge_list(_read_text(args.graph))
+        report, code = args.run(args, g)
+        return _emit(args, argv, g, report, code)
+    except (DomatchError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

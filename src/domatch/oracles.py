@@ -462,21 +462,21 @@ def _total_domination_search(
 
 def _edge_masks(
     adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
-) -> tuple[tuple[Edge, ...], list[int], list[int], list[int]]:
+) -> tuple[tuple[Edge, ...], list[int], list[int]]:
     """The sorted edges at sorted ``vertices``, a union of components, with
-    bit masks over their indices: the edges at each vertex, the edges
-    sharing an endpoint with each edge (itself included), and each edge's
-    two endpoints as a vertex mask.  Vertex i (index or bit) is ``vertices[i]``."""
+    two masks per edge: the edges sharing an endpoint with it (itself
+    included), as bits over edge indices, and its two endpoints, as bits
+    over vertex indices.  Vertex index i is ``vertices[i]``."""
     edges = _sorted_edges(adjacency, vertices)
     position = {v: i for i, v in enumerate(vertices)}
     pairs = [(position[u], position[v]) for u, v in edges]
-    incident = [0] * len(vertices)
+    incident = [0] * len(vertices)  # the edges at each vertex
     for i, (u, v) in enumerate(pairs):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
     kill = [incident[u] | incident[v] for u, v in pairs]
     ends = [(1 << u) | (1 << v) for u, v in pairs]
-    return edges, incident, kill, ends
+    return edges, kill, ends
 
 
 def _maximal_matching_search(
@@ -495,7 +495,7 @@ def _maximal_matching_search(
     both greedy packings take edges with the smallest kill sets first, ties
     by index, and the larger count is the picks still needed.
     """
-    edges, _, kill, ends = _edge_masks(adjacency, vertices)
+    edges, kill, ends = _edge_masks(adjacency, vertices)
     m = len(kill)
     # (bit, kill set, ends) per edge, fewest killers first, ties by index
     order = sorted(range(m), key=lambda i: kill[i].bit_count())

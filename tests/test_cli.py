@@ -6,7 +6,7 @@ import pytest
 
 from domatch import Graph, parse_edge_list, serialize_edge_list
 from domatch.cli import _FAMILIES, MAX_VERTICES_ENV, main
-from domatch.generators import cycle, spider, subdivided_grid
+from domatch.generators import cycle, spider, subdivided_grid, triangle_book
 from domatch.oracles import DEFAULT_MAX_VERTICES
 
 import helpers
@@ -142,6 +142,31 @@ def test_recognize_rejects_min_degree_three(tmp_path, capsys):
     assert rc == 2
     assert "minimum degree 3, expected exactly 2" in captured.err
     assert "gamma-t" in captured.err  # the hint names the exact solvers
+
+
+#: The error line and hint ``recognize`` prints for a graph outside minimum degree two.
+MIN_DEGREE_THREE_ERROR = (
+    "error: minimum degree 3, expected exactly 2\n"
+    "hint: recognition covers minimum degree two only; use gamma-t and mu-star for exact"
+    " values, or verify with a candidate matching\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["--machine"]])
+def test_recognize_min_degree_error_is_byte_stable(tmp_path, capsys, flags):
+    rc = main(["recognize", write_graph(tmp_path, helpers.petersen_graph()), *flags])
+    assert rc == 2
+    assert capsys.readouterr() == ("", MIN_DEGREE_THREE_ERROR)
+
+
+@pytest.mark.parametrize("flags", [[], ["--machine"]])
+def test_recognize_oracle_disagreement_is_an_error(tmp_path, capsys, monkeypatch, flags):
+    import domatch.cli as cli
+
+    monkeypatch.setattr(cli, "is_tight_graph", lambda g, max_vertices=None: False)
+    rc = main(["recognize", write_graph(tmp_path, subdivided_grid(2)), "--oracle", *flags])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: recognizer and oracle disagree\n")
 
 
 def test_recognize_oracle_crosscheck(tmp_path, capsys):
@@ -532,6 +557,10 @@ GOLDEN_GRAPHS = {
     "grid2": lambda: subdivided_grid(2),
     "c7": lambda: cycle(7),
     "c6+c4": lambda: helpers.disjoint_union(cycle(6), cycle(4)),
+    "k3": lambda: triangle_book(3),
+    "c6": lambda: cycle(6),
+    # the candidate edges 0-6, 1-2, 2-4 and 3-6 share vertices 2 and 6
+    "shared": lambda: Graph(7, [(0, 1), (0, 6), (1, 2), (2, 4), (2, 5), (3, 4), (3, 6), (5, 6)]),
 }
 
 #: (subcommand, graph, matching file text or None, exit code, full stdout)
@@ -647,3 +676,178 @@ def test_human_output_golden(tmp_path, capsys, command, graph, matching, code, e
         argv.append(write_text(tmp_path, matching, "m.txt"))
     assert main(argv) == code
     assert capsys.readouterr().out == expected
+
+
+# ---------------------------------------------------------------------------
+# machine output, byte for byte
+
+#: (subcommand, graph, matching file text or None, flags after ``--machine``, exit
+#: code, full stdout with the file paths shown as ``<graph>`` and ``<matching>``)
+MACHINE_GOLDEN = [
+    (
+        "gamma-t",
+        "spider3",
+        None,
+        [],
+        0,
+        "command: gamma-t <graph> --machine\nvertices: 10\nedges: 9\nmin_degree: 1\n"
+        "girth: infinite\ngamma_t: 6\nwitness_vertex: x1\nwitness_vertex: y1\n"
+        "witness_vertex: x2\nwitness_vertex: y2\nwitness_vertex: x3\nwitness_vertex: y3\n"
+        "exit: 0\n",
+    ),
+    (
+        "mu-star",
+        "c4",
+        None,
+        [],
+        0,
+        "command: mu-star <graph> --machine\nvertices: 4\nedges: 4\nmin_degree: 2\ngirth: 4\n"
+        "mu_star: 2\nwitness_edge: v0 v1\nwitness_edge: v2 v3\nexit: 0\n",
+    ),
+    (
+        "bounds",
+        "k4",
+        None,
+        [],
+        0,
+        "command: bounds <graph> --machine\nvertices: 4\nedges: 6\nmin_degree: 3\ngirth: 3\n"
+        "gamma_t: 2\nmu_star: 2\nbound: 3\nslack: 1\nholds: yes\nexit: 0\n",
+    ),
+    (
+        "recognize",
+        "k3",
+        None,
+        [],
+        0,
+        "command: recognize <graph> --machine\nvertices: 5\nedges: 7\nmin_degree: 2\n"
+        "girth: 3\ncomponent: 1\ncomponent_verdict: yes\ncertificate: triangle-book\n"
+        "book_pages: 3\nverdict: yes\nexit: 0\n",
+    ),
+    (
+        "recognize",
+        "c6",
+        None,
+        [],
+        0,
+        "command: recognize <graph> --machine\nvertices: 6\nedges: 6\nmin_degree: 2\n"
+        "girth: 6\ncomponent: 1\ncomponent_verdict: yes\ncertificate: six-cycle\n"
+        "verdict: yes\nexit: 0\n",
+    ),
+    (
+        "recognize",
+        "grid2",
+        None,
+        [],
+        0,
+        "command: recognize <graph> --machine\nvertices: 10\nedges: 11\nmin_degree: 2\n"
+        "girth: 6\ncomponent: 1\ncomponent_verdict: yes\ncertificate: certifying-matching\n"
+        "certificate_edge: u0 v0\ncertificate_edge: u1 v1\ncertificate_edge: u2 v2\n"
+        "verdict: yes\nexit: 0\n",
+    ),
+    (
+        "recognize",
+        "shared",
+        None,
+        [],
+        1,
+        "command: recognize <graph> --machine\nvertices: 7\nedges: 8\nmin_degree: 2\n"
+        "girth: 5\ncomponent: 1\ncomponent_verdict: no\ncertificate: refutation\n"
+        "refutation_reason: m-not-matching\nrefutation_vertex: 2\nrefutation_vertex: 6\n"
+        "refutation_detail: candidate edges share endpoints\nverdict: no\nexit: 1\n",
+    ),
+    (
+        "recognize",
+        "c6+c4",
+        None,
+        [],
+        1,
+        "command: recognize <graph> --machine\nvertices: 10\nedges: 10\nmin_degree: 2\n"
+        "girth: 4\ncomponent: 1\ncomponent_verdict: yes\ncertificate: six-cycle\n"
+        "component: 2\ncomponent_verdict: no\ncertificate: refutation\n"
+        "refutation_reason: m-not-maximal\n"
+        "refutation_detail: candidate matching of 0 edges is not maximal\nverdict: no\n"
+        "exit: 1\n",
+    ),
+    (
+        "recognize",
+        "grid2",
+        None,
+        ["--oracle"],
+        0,
+        "command: recognize <graph> --machine --oracle\nvertices: 10\nedges: 11\n"
+        "min_degree: 2\ngirth: 6\ncomponent: 1\ncomponent_verdict: yes\n"
+        "certificate: certifying-matching\ncertificate_edge: u0 v0\ncertificate_edge: u1 v1\n"
+        "certificate_edge: u2 v2\nverdict: yes\noracle: agrees\nexit: 0\n",
+    ),
+    (
+        "verify",
+        "spider2",
+        "x1 y1\nx2 y2\n",
+        [],
+        0,
+        "command: verify <graph> <matching> --machine\nvertices: 7\nedges: 6\nmin_degree: 1\n"
+        "girth: infinite\nmatching_edge: x1 y1\nmatching_edge: x2 y2\nmatching: yes\n"
+        "condition_maximal: yes\nm_minus_edge: x1 y1\nm_minus_edge: x2 y2\ncondition_i: yes\n"
+        "condition_ii: yes\ncondition_iii: yes\ncondition_iv: yes\nverdict: holds\nexit: 0\n",
+    ),
+    (
+        "verify",
+        "spider2",
+        "c x1\ny1 z1\ny2 z2\n",
+        [],
+        1,
+        "command: verify <graph> <matching> --machine\nvertices: 7\nedges: 6\nmin_degree: 1\n"
+        "girth: infinite\nmatching_edge: c x1\nmatching_edge: y1 z1\nmatching_edge: y2 z2\n"
+        "matching: yes\ncondition_maximal: yes\nm_minus_edge: y1 z1\nm_minus_edge: y2 z2\n"
+        "m_star_edge: c x1\ncondition_i: yes\ncondition_ii: yes\ncondition_iii: no\n"
+        "violation_iii: x1 c y1\nviolation_iii: y1 x1 z1\ncondition_iv: no\n"
+        "violation_iv: c y2\nverdict: fails\nexit: 1\n",
+    ),
+    (
+        "verify",
+        "spider2",
+        "x1 y1\n",
+        [],
+        1,
+        "command: verify <graph> <matching> --machine\nvertices: 7\nedges: 6\nmin_degree: 1\n"
+        "girth: infinite\nmatching_edge: x1 y1\nmatching: yes\ncondition_maximal: no\n"
+        "verdict: fails\nexit: 1\n",
+    ),
+    (
+        "verify",
+        "c4",
+        "v0 v1\n",
+        [],
+        1,
+        "command: verify <graph> <matching> --machine\nvertices: 4\nedges: 4\nmin_degree: 2\n"
+        "girth: 4\nmatching_edge: v0 v1\nmatching: yes\ncondition_maximal: no\n"
+        "violation_maximal: v2 v3\ncondition_i: yes\ncondition_ii: yes\nverdict: fails\n"
+        "exit: 1\n",
+    ),
+    (
+        "verify",
+        "spider2",
+        "x1 y1\ny1 z1\n",
+        [],
+        1,
+        "command: verify <graph> <matching> --machine\nvertices: 7\nedges: 6\nmin_degree: 1\n"
+        "girth: infinite\nmatching_edge: x1 y1\nmatching_edge: y1 z1\nmatching: no\n"
+        "verdict: fails\nexit: 1\n",
+    ),
+]
+
+
+
+@pytest.mark.parametrize(
+    "command, graph, matching, flags, code, expected",
+    MACHINE_GOLDEN,
+    ids=[f"{row[0]}-{row[1]}-{i}" for i, row in enumerate(MACHINE_GOLDEN)],
+)
+def test_machine_output_golden(tmp_path, capsys, command, graph, matching, flags, code, expected):
+    argv = [command, write_graph(tmp_path, GOLDEN_GRAPHS[graph]())]
+    expected = expected.replace("<graph>", argv[-1])
+    if matching is not None:
+        argv.append(write_text(tmp_path, matching, "m.txt"))
+        expected = expected.replace("<matching>", argv[-1])
+    assert main(argv + ["--machine", *flags]) == code
+    assert capsys.readouterr() == (expected, "")
