@@ -35,6 +35,7 @@ from .graph import (
     Edge,
     Graph,
     SupportClassification,
+    connected_components,
     min_degree,
     support_classification,
 )
@@ -164,12 +165,14 @@ def _certificate_violations(
     vertex with neighborhood exactly {p(u), p(v)}, looked up in ``pinned``
     (see :func:`_pinned_pairs`).  Such pairs are found by walking the
     pool's neighbors, so no pair without a common neighbor is looked at.
+    Each condition's message is one fixed text: the ids it concerns are in
+    the violation's ``vertices`` and ``edges``, so a caller shows them in
+    its own labels.
     """
     covered = m.covered
     extending = _extending_edge(adjacency, vertices, covered)
     if extending is not None:
-        message = f"edge {extending.u}-{extending.v} could extend the matching"
-        yield Violation("maximal", (), (extending,), message)
+        yield Violation("maximal", (), (extending,), "this edge could extend the matching")
 
     partner = m._partner
     sup = support.sup
@@ -200,14 +203,13 @@ def _certificate_violations(
                 exact_id,
                 (v, *sorted(seen)),
                 (),
-                f"vertex {v} must see exactly its partner {partner[v]} among"
-                " matched vertices",
+                "the first vertex must see exactly its partner among matched"
+                " vertices; it sees the rest",
             )
 
     in_pool = frozenset(pool)
     for u in pool:
-        pu = partner[u]
-        witnessed = pinned.get(pu, ())
+        witnessed = pinned.get(partner[u], ())
         two_steps = set().union(*(adjacency[w] for w in adjacency[u]))
         for v in sorted(v for v in two_steps.intersection(in_pool) if v > u):
             if partner[v] not in witnessed:
@@ -215,7 +217,8 @@ def _certificate_violations(
                     witness_id,
                     (u, v),
                     (),
-                    f"no vertex has neighborhood exactly {sorted((pu, partner[v]))}",
+                    "these two share a neighbor, but no vertex has neighborhood"
+                    " exactly their partners",
                 )
 
 
@@ -225,6 +228,13 @@ def _require_low_degree(g: Graph) -> int:
     if delta not in (1, 2):
         raise DomainError(f"minimum degree {delta} is outside {{1, 2}}")
     return delta
+
+
+def _require_degree_two(g: Graph) -> None:
+    """Refuse ``g`` unless its minimum degree is exactly two."""
+    delta = min_degree(g)
+    if delta != 2:
+        raise DomainError(f"minimum degree {delta}, expected exactly 2")
 
 
 def _certificate_evidence(
@@ -332,21 +342,18 @@ def find_certifying_matching(
     adjacency = g._adjacency
     support = support_classification(g)
     sup, s_minus = support.sup, support.s_minus
-    # one pass over the sorted pairs, edge bit i for the i-th, vertex bit v
-    # for vertex v: the edges and neighbors at each vertex, the edges that
-    # (i)/(ii) allow, and per vertex the allowed edges that would put it in
-    # the pool of (iii), as an S⁻ end or an end of a no-support edge
+    # one pass over the whole graph's sorted pairs, edge bit i for the i-th:
+    # the edges at each vertex, the edges that (i)/(ii) allow, and per vertex
+    # the allowed edges that would put it in the pool of (iii), as an S⁻ end
+    # or an end of a no-support edge
     pairs = [(u, v) for u in g.vertices() for v in sorted(adjacency[u]) if v > u]
     incident = [0] * len(adjacency)
-    neighbors = [0] * len(adjacency)
     pooled = [0] * len(adjacency)
     allowed = 0
     for i, (u, v) in enumerate(pairs):
         bit = 1 << i
         incident[u] |= bit
         incident[v] |= bit
-        neighbors[u] |= 1 << v
-        neighbors[v] |= 1 << u
         if u in s_minus or v in s_minus:
             pooled[u if u in s_minus else v] |= bit
         elif u not in sup and v not in sup:
@@ -378,33 +385,17 @@ def find_certifying_matching(
     nodes = 0
     pinned = None
     picked: list[Edge] = []
-    everyone = (1 << len(adjacency)) - 1
-    left = everyone
-    while left:
-        # the component of the least vertex left, grown by neighbor masks
-        component = frontier = left & -left
-        while frontier:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grown |= neighbors[low.bit_length() - 1]
-            frontier = grown & ~component
-            component |= frontier
-        left &= ~component
-        if component == everyone:
+    components = connected_components(g)
+    for component in components:
+        # a connected graph is its own component, with no split to build
+        if len(components) == 1:
             vertices: Sequence[int] = g.vertices()
             part, own = support, (1 << len(pairs)) - 1
         else:
-            vertices = []
-            own, rest = 0, component
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                vertices.append(low.bit_length() - 1)
-                own |= incident[vertices[-1]]
-            within = frozenset(vertices)
-            part = SupportClassification(sup & within, support.s_plus & within, s_minus & within)
+            vertices, own = sorted(component), 0
+            for v in vertices:
+                own |= incident[v]
+            part = SupportClassification(*(side & component for side in support))
         # (undominated edges, live edges, picks so far); a live edge is
         # allowed, touches no matched or blocked vertex and pools no
         # neighbor of a matched vertex, as ``shut`` rules out per pick

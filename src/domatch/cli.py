@@ -45,6 +45,7 @@ from .graph import (
 from .oracles import (
     DEFAULT_MAX_VERTICES,
     Matching,
+    _solver_limit,
     check_matching_bound,
     is_tight_graph,
     minimum_maximal_matching,
@@ -244,19 +245,21 @@ def _condition_lines(g: Graph, conditions: ConditionReport) -> list[Line]:
 
 
 def _run_recognize(args: argparse.Namespace, g: Graph) -> tuple[list[Line], int]:
+    from .characterization import _require_degree_two
     from .recognizer import recognize
 
-    delta = min_degree(g)
-    if delta != 2:
+    try:
+        _require_degree_two(g)
+    except DomainError as error:
         raise DomainError(
-            f"minimum degree {delta}, expected exactly 2\nhint: recognition covers minimum"
-            " degree two only; use gamma-t and mu-star for exact values, or verify with a"
-            " candidate matching"
-        )
+            f"{error}\nhint: recognition covers minimum degree two only; use gamma-t and"
+            " mu-star for exact values, or verify with a candidate matching"
+        ) from None
+    # the limit is checked, as the solvers check it, after the graph's preconditions
+    limit = _solver_limit(_resolve_limit(args.max_vertices))
     outcome = recognize(g)
-    if args.oracle:
-        if is_tight_graph(g, max_vertices=_resolve_limit(args.max_vertices)) != outcome.verdict:
-            raise DomatchError("recognizer and oracle disagree")
+    if args.oracle and is_tight_graph(g, max_vertices=limit) != outcome.verdict:
+        raise DomatchError("recognizer and oracle disagree")
     report: list[Line] = []
     for index, component in enumerate(outcome.components, start=1):
         report += [(f"component: {index}", None), _answer("component_verdict", component.verdict)]

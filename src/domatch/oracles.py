@@ -164,10 +164,17 @@ def _require_no_isolated(g: Graph) -> None:
         raise DomainError("isolated vertex: gamma_t undefined")
 
 
-def _check_size(g: Graph, max_vertices: int | None) -> None:
+def _solver_limit(max_vertices: int | None) -> int:
+    """The solver vertex limit ``max_vertices``, or the default for None;
+    a limit below 1 is refused."""
     limit = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
     if limit < 1:
         raise DomainError(f"solver vertex limit {limit} is below 1")
+    return limit
+
+
+def _check_size(g: Graph, max_vertices: int | None) -> None:
+    limit = _solver_limit(max_vertices)
     if g.vertex_count > limit:
         raise ResourceLimitError(f"{g.vertex_count} vertices exceeds the solver limit of {limit}")
 

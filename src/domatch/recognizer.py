@@ -38,15 +38,14 @@ from .characterization import (
     _certificate_violations,
     _pinned_pairs,
     _report,
+    _require_degree_two,
 )
-from .errors import DomainError
 from .graph import (
     Edge,
     Graph,
     SupportClassification,
     _book_pages,
     connected_components,
-    min_degree,
 )
 from .oracles import Matching, _validated_edges
 
@@ -158,9 +157,7 @@ def check_degree_two_certificate(g: Graph, m: Matching) -> ConditionReport:
     (iii)/(iv) evaluated over the matched vertices.  Requires minimum
     degree two.
     """
-    delta = min_degree(g)
-    if delta != 2:
-        raise DomainError(f"minimum degree {delta}, expected exactly 2")
+    _require_degree_two(g)
     _validated_edges(g, m)
     adjacency = g._adjacency
     vertices = g.vertices()
@@ -212,9 +209,7 @@ def recognize(g: Graph) -> RecognitionOutcome:
     refutations name the first failed check.  Every check reads only the
     component's own vertices and their adjacency in ``g``.
     """
-    delta = min_degree(g)
-    if delta != 2:
-        raise DomainError(f"minimum degree {delta}, expected exactly 2")
+    _require_degree_two(g)
     adjacency = g._adjacency
     outcomes: list[ComponentOutcome] = []
     for component in connected_components(g):

@@ -474,6 +474,28 @@ def test_vertex_limit_below_one_is_rejected_from_the_environment(tmp_path, capsy
     assert "error: solver vertex limit 0 is below 1" in capsys.readouterr().err
 
 
+#: (flag, environment value, error line) for each bad solver limit.
+BAD_LIMITS = [
+    (["--max-vertices", "-5"], None, "error: solver vertex limit -5 is below 1\n"),
+    ([], "ten", f"error: {MAX_VERTICES_ENV}='ten' is not an integer\n"),
+]
+
+
+@pytest.mark.parametrize("flags, env, error", BAD_LIMITS, ids=["flag", "environment"])
+def test_recognize_rejects_a_bad_limit_without_the_oracle(
+    tmp_path, capsys, monkeypatch, flags, env, error
+):
+    if env is None:
+        monkeypatch.delenv(MAX_VERTICES_ENV, raising=False)
+    else:
+        monkeypatch.setenv(MAX_VERTICES_ENV, env)
+    assert main(["recognize", write_graph(tmp_path, cycle(6)), *flags]) == 2
+    assert capsys.readouterr() == ("", error)
+    # the graph's minimum degree is checked first, as gamma-t checks its graph first
+    assert main(["recognize", write_graph(tmp_path, helpers.petersen_graph()), *flags]) == 2
+    assert capsys.readouterr() == ("", MIN_DEGREE_THREE_ERROR)
+
+
 def test_max_vertices_help_names_the_default(capsys):
     assert main(["gamma-t", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
@@ -563,6 +585,11 @@ GOLDEN_GRAPHS = {
     "shared": lambda: Graph(7, [(0, 1), (0, 6), (1, 2), (2, 4), (2, 5), (3, 4), (3, 6), (5, 6)]),
 }
 
+#: The violation messages of (iii) and (iv), which ``verify`` shows before
+#: the labels of the vertices they concern.
+SEES_MORE = "the first vertex must see exactly its partner among matched vertices; it sees the rest"
+NO_WITNESS = "these two share a neighbor, but no vertex has neighborhood exactly their partners"
+
 #: (subcommand, graph, matching file text or None, exit code, full stdout)
 HUMAN_GOLDEN = [
     ("gamma-t", "spider3", None, 0, "gamma_t = 6\nwitness: x1 y1 x2 y2 x3 y3\n"),
@@ -629,12 +656,10 @@ HUMAN_GOLDEN = [
         1,
         "condition maximal: ok\nm_plus: none\nm_minus: y1 z1, y2 z2\nm_star: c x1\n"
         "condition i: ok\ncondition ii: ok\ncondition iii: violated\n"
-        "  vertex 1 must see exactly its partner 0 among matched vertices"
-        " (vertices: x1 c y1)\n"
-        "  vertex 2 must see exactly its partner 3 among matched vertices"
-        " (vertices: y1 x1 z1)\n"
+        f"  {SEES_MORE} (vertices: x1 c y1)\n"
+        f"  {SEES_MORE} (vertices: y1 x1 z1)\n"
         "condition iv: violated\n"
-        "  no vertex has neighborhood exactly [1, 6] (vertices: c y2)\n"
+        f"  {NO_WITNESS} (vertices: c y2)\n"
         "verdict: certificate fails\n",
     ),
     (
@@ -643,14 +668,10 @@ HUMAN_GOLDEN = [
         "v0 v1\nv2 v3\n",
         1,
         "condition maximal: ok\ncondition i: violated\n"
-        "  vertex 0 must see exactly its partner 1 among matched vertices"
-        " (vertices: v0 v1 v3)\n"
-        "  vertex 1 must see exactly its partner 0 among matched vertices"
-        " (vertices: v1 v0 v2)\n"
-        "  vertex 2 must see exactly its partner 3 among matched vertices"
-        " (vertices: v2 v1 v3)\n"
-        "  vertex 3 must see exactly its partner 2 among matched vertices"
-        " (vertices: v3 v0 v2)\n"
+        f"  {SEES_MORE} (vertices: v0 v1 v3)\n"
+        f"  {SEES_MORE} (vertices: v1 v0 v2)\n"
+        f"  {SEES_MORE} (vertices: v2 v1 v3)\n"
+        f"  {SEES_MORE} (vertices: v3 v0 v2)\n"
         "condition ii: ok\nverdict: certificate fails\n",
     ),
     (
@@ -659,7 +680,7 @@ HUMAN_GOLDEN = [
         "v0 v1\n",
         1,
         "condition maximal: violated\n"
-        "  edge 2-3 could extend the matching (vertices: v2 v3)\n"
+        "  this edge could extend the matching (vertices: v2 v3)\n"
         "condition i: ok\ncondition ii: ok\nverdict: certificate fails\n",
     ),
 ]

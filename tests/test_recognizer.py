@@ -21,6 +21,7 @@ from domatch import (
     minimum_maximal_matching,
     random_tight_graph,
     recognize,
+    support_classification,
     total_domination_number,
 )
 from domatch import characterization, recognizer
@@ -239,6 +240,37 @@ def test_degree_two_conditions_are_the_leafy_conditions_without_leaves():
     assert (graphs, matchings) == (410, 7299)
 
 
+def test_violation_messages_do_not_depend_on_vertex_ids():
+    # Each condition has one fixed message: the ids a violation concerns are in
+    # its vertices and edges, which callers show in their own labels.
+    def messages(g, m):
+        adjacency, vertices = g._adjacency, g.vertices()
+        violations = characterization._certificate_violations(
+            adjacency,
+            vertices,
+            support_classification(g),
+            characterization._pinned_pairs(adjacency, vertices),
+            m,
+        )
+        return sorted((v.condition, v.message) for v in violations)
+
+    by_condition = {}
+    matchings = 0
+    for n in range(1, 7):
+        for g in connected_catalog(n):
+            reverse = list(range(n))[::-1]
+            mirror = helpers.relabel(g, reverse)
+            for m in iter_maximal_matchings(g):
+                matchings += 1
+                found = messages(g, m)
+                assert messages(mirror, Matching((reverse[u], reverse[v]) for u, v in m)) == found
+                for condition, message in found:
+                    by_condition.setdefault(condition, set()).add(message)
+    assert matchings == 1166
+    assert set(by_condition) == {"i", "ii", "iii", "iv"}
+    assert all(len(texts) == 1 for texts in by_condition.values())
+
+
 def test_degree_two_certificate_preconditions():
     with pytest.raises(DomainError, match="minimum degree 3, expected exactly 2"):
         check_degree_two_certificate(complete_graph(4), Matching([(0, 1), (2, 3)]))
@@ -455,7 +487,7 @@ def test_refutation_detail_names_input_ids():
     assert refutation.reason == REASON_CONDITION_I
     assert refutation.vertices == (10, 9, 14)
     assert refutation.detail == (
-        "vertex 10 must see exactly its partner 9 among matched vertices"
+        "the first vertex must see exactly its partner among matched vertices; it sees the rest"
     )
     named = {int(token) for token in re.findall(r"\d+", refutation.detail)}
     assert named <= set(refutation.vertices)
