@@ -23,7 +23,6 @@ _EXPORTS = {
         "Violation",
         "check_certificate_conditions",
         "find_certifying_matching",
-        "iter_maximal_matchings",
         "partition_matching",
         "total_dominating_set_from_matching",
     ),

@@ -4,10 +4,9 @@ For graphs of minimum degree one or two, equality of the total domination
 number with twice the minimum maximal matching number is witnessed by a
 single maximal matching satisfying four local conditions.  This module
 splits a matching by the support status of edge endpoints, evaluates the
-four conditions with explicit violation witnesses, enumerates maximal
-matchings, searches for a certificate, and builds the small total
-dominating set that a maximal matching yields when the minimum degree is
-three or more.
+four conditions with explicit violation witnesses, searches the maximal
+matchings for a certificate, and builds the small total dominating set
+that a maximal matching yields when the minimum degree is three or more.
 
 Every check reads one stream of :class:`Violation` objects in report
 order (maximality, (i)/(ii), (iii)/(iv)); a condition holds when no
@@ -39,16 +38,9 @@ from .graph import (
     min_degree,
     support_classification,
 )
-from .oracles import (
-    Matching,
-    _extending_edge,
-    _maximal_matchings,
-    _validated_edges,
-    is_maximal_matching,
-)
+from .oracles import Matching, _extending_edge, _validated_edges, is_maximal_matching
 
-#: Node budget of one maximal-matching enumeration, shared by all its
-#: sizes, and of one certificate search.
+#: Node budget of one certificate search, shared by all its components.
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
 #: Condition identifiers, in report order.
@@ -283,20 +275,6 @@ def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
     if evidence is None:
         raise DomainError("matching is not maximal")
     return evidence[1]
-
-
-def iter_maximal_matchings(
-    g: Graph, *, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Iterator[Matching]:
-    """Yield every maximal matching of ``g`` exactly once.
-
-    Matchings arrive by size, smallest first, and within one size in
-    ascending lexicographic order of their sorted edge-index tuples.  Search
-    effort over all sizes is metered; crossing ``budget`` nodes raises
-    :class:`~domatch.errors.ResourceLimitError`.
-    """
-    for chosen, _ in _maximal_matchings(g._adjacency, g.vertices(), budget):
-        yield Matching(chosen)
 
 
 def find_certifying_matching(

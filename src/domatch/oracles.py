@@ -43,16 +43,13 @@ Phase 1 proves each size whole, from the bound up: a size whose proof
 fails is empty, and the first proof that finds a cover settles the
 optimum, since that cover has exactly as many picks as the size.  The
 bound checks stop there, with both values from one pass over the
-components.  Phase 2, the ordered walk, starts from that cover and lists
-the solutions of each size in lexicographic order: it branches on the
-least allowed pick, taking it or leaving it out, follows a proven cover
-down the branch it belongs to and enters the other only once a proof
-covers it, so its first hit is the least optimum.  The cuts lose no
-solution, so witnesses are those of the unpruned ordered search.  μ* is
-the first hit of :func:`_maximal_matchings`,
-which also lists every maximal matching for
-:func:`~domatch.characterization.iter_maximal_matchings`; the certificate
-search prunes by the certificate conditions and needs no μ*.
+components.  Phase 2, the ordered walk, starts from that cover and walks
+the optimum size alone in lexicographic order: it branches on the least
+allowed pick, taking it or leaving it out, follows a proven cover down
+the branch it belongs to and enters the other only once a proof covers
+it, and stops at its first hit, the least optimum.  The cuts lose no
+solution, so witnesses are those of the unpruned ordered search.  The
+certificate search prunes by the certificate conditions and needs no μ*.
 
 The γ_t search of a bipartite component runs the driver once per colour
 class: a vertex is dominated only from the other class, so the open
@@ -67,9 +64,8 @@ Intended for desk-scale instances.  A hard vertex limit (default
 
 from __future__ import annotations
 
-from itertools import islice
 from time import perf_counter
-from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .graph import Edge, Graph, _sorted_edges, connected_components, min_degree
@@ -241,19 +237,16 @@ def _deepening_search(
     cover: Sequence[int],
     reusable: int,
     bounds: Callable[[int, int, int], tuple[int, int, int]],
-    budget: int | None = None,
     start: tuple[int, int] | None = None,
-) -> tuple[int, int, Iterator[tuple[tuple[int, ...], int]]]:
+) -> tuple[int, int, Callable[[], tuple[tuple[int, ...], int]]]:
     """The fewest picks whose ``cover`` masks together cover
-    ``range(len(cover))``, the search nodes it took to prove that, and an
-    iterator over each sorted tuple of picks that covers, with the search
-    nodes explored so far.  Some set of picks must cover.  ``start``, a
-    pair of masks (undominated elements, untried picks), narrows the root
-    to covering those elements with those picks; by default both are all
-    ones.
+    ``range(len(cover))``, the search nodes it took to prove that, and
+    ``least()``, which returns the lexicographically least sorted tuple of
+    that many picks that covers, with the search nodes explored up to it.
+    Some set of picks must cover.  ``start``, a pair of masks (undominated
+    elements, untried picks), narrows the root to covering those elements
+    with those picks; by default both are all ones.
 
-    The iterator's sizes run from the fewest to the first empty size after
-    it; within a size, picks come in lexicographic order.
     Above its last pick a node may pick an undominated element or one of
     ``reusable``.  ``bounds(allowed, undominated, slots)`` counts the picks
     still needed (``slots + 1`` if an undominated element has no allowed
@@ -279,20 +272,16 @@ def _deepening_search(
     recorded ones.  Phase 1, run by this call, proves the root of each size
     from the least one ``bounds`` allows; a size whose root proof fails is
     empty, and the first whose proof finds a cover is the optimum, since
-    that cover has exactly that many picks.  Phase 2, the iterator, is an
-    ordered walk that lists the hits of each size from the optimum on,
-    starting from phase 1's cover instead of proving the root again.  Each
-    entry branches on its least allowed pick, taking it or leaving it out,
-    and carries a proven cover of what is left, or None; the branch the
-    cover belongs to follows it, and the other is entered only once a proof
-    covers it.  The include branch pops first, so hits come in
-    lexicographic order, and the first costs one proof per allowed pick
-    tried below the known cover's next pick.  Only proof nodes count, a cut
-    one too; every walk step runs a proof or follows a known cover, so
-    crossing ``budget`` nodes, which raises
-    :class:`~domatch.errors.ResourceLimitError`, still bounds the work.
-    Both phases run on explicit stacks, so depth is not bounded by the
-    recursion limit.
+    that cover has exactly that many picks.  Phase 2, ``least``, is an
+    ordered walk of the optimum size alone, starting from phase 1's cover
+    instead of proving the root again.  Each entry branches on its least
+    allowed pick, taking it or leaving it out, and carries a proven cover
+    of what is left, or None; the branch the cover belongs to follows it,
+    and the other is entered only once a proof covers it.  The include
+    branch pops first, so the first hit is the least, and it costs one
+    proof per allowed pick tried below the known cover's next pick.  Only
+    proof nodes count, a cut one too.  Both phases run on explicit stacks,
+    so depth is not bounded by the recursion limit.
     """
     n = len(cover)
     root_undominated, root_untried = start or ((1 << n) - 1,) * 2
@@ -313,8 +302,6 @@ def _deepening_search(
                 refuted.setdefault((undominated, picked), []).append(untried)
                 continue
             nodes += 1
-            if budget is not None and nodes > budget:
-                raise ResourceLimitError(f"maximal matching enumeration exceeded {budget} nodes")
             if slots == 0:
                 if undominated == 0:
                     return picked, nodes
@@ -336,54 +323,51 @@ def _deepening_search(
                 push((undominated & keep[i], untried & ~fewest, slots, picked | 1 << i))
         return None, nodes
 
-    def walk(optimum: int, rest: int | None, nodes: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        # `rest` is phase 1's cover of the whole at size `optimum`
-        for size in range(optimum, n + 1):
-            hit = False
-            # (undominated, untried, free slots, picks so far, proven cover
-            # of the rest or None)
-            stack: list[tuple[int, int, int, tuple[int, ...], int | None]] = [
-                (root_undominated, root_untried, size, (), rest)
-            ]
-            pop, push = stack.pop, stack.append
-            while stack:
-                undominated, untried, slots, picks, rest = pop()
-                if rest is None:
-                    rest, nodes = prove(undominated, untried, slots, nodes)
-                    if rest is None:
-                        continue
-                if slots == 0:
-                    hit = True
-                    yield picks, nodes
-                    continue
-                allowed = (undominated | reusable) & untried
-                i = (allowed & -allowed).bit_length() - 1
-                untried = allowed ^ 1 << i
-                # the known cover goes where it belongs; the other branch
-                # waits for a proof, and the include branch pops first
-                if rest >> i & 1:
-                    skip, rest = None, rest ^ 1 << i
-                else:
-                    skip, rest = rest, None
-                push((undominated, untried, slots, picks, skip))
-                push((undominated & keep[i], untried, slots - 1, picks + (i,), rest))
-            if not hit:
-                return
-            rest = None
-
     nodes = 0
     for size in range(bounds(root_untried, root_undominated, n)[0], n + 1):
-        rest, nodes = prove(root_undominated, root_untried, size, nodes)
-        if rest is not None:
-            return size, nodes, walk(size, rest, nodes)
-    raise DomainError("no set of picks covers every element")
+        found, nodes = prove(root_undominated, root_untried, size, nodes)
+        if found is not None:
+            break
+    else:
+        raise DomainError("no set of picks covers every element")
+
+    def least() -> tuple[tuple[int, ...], int]:
+        # phase 2 from phase 1's cover of the whole; one branch always
+        # holds a proven cover, so the walk ends at a hit
+        count = nodes
+        # (undominated, untried, free slots, picks so far, proven cover of
+        # the rest or None)
+        stack: list[tuple[int, int, int, tuple[int, ...], int | None]] = [
+            (root_undominated, root_untried, size, (), found)
+        ]
+        pop, push = stack.pop, stack.append
+        while True:
+            undominated, untried, slots, picks, rest = pop()
+            if rest is None:
+                rest, count = prove(undominated, untried, slots, count)
+                if rest is None:
+                    continue
+            if slots == 0:
+                return picks, count
+            allowed = (undominated | reusable) & untried
+            i = (allowed & -allowed).bit_length() - 1
+            untried = allowed ^ 1 << i
+            # the known cover goes where it belongs; the other branch
+            # waits for a proof, and the include branch pops first
+            if rest >> i & 1:
+                skip, rest = None, rest ^ 1 << i
+            else:
+                skip, rest = rest, None
+            push((undominated, untried, slots, picks, skip))
+            push((undominated & keep[i], untried, slots - 1, picks + (i,), rest))
+
+    return size, nodes, least
 
 
 #: What a search gives: the item each pick index names
 #: (a vertex or an edge), then the optimum, the nodes that proved it and
-#: the ordered walk, as :func:`_deepening_search` returns them (for γ_t on
-#: a bipartite component, a walk to the first hit only).
-_Search = tuple[Sequence, int, int, Iterator[tuple[tuple[int, ...], int]]]
+#: the walk to the least optimum, as :func:`_deepening_search` returns them.
+_Search = tuple[Sequence, int, int, Callable[[], tuple[tuple[int, ...], int]]]
 
 
 def _total_domination_search(
@@ -405,10 +389,10 @@ def _total_domination_search(
     dominated only from the other, so one search covers each class with
     picks from the other, and the optima are exactly the unions of one
     optimum per class.  Optimum and nodes are the two searches' sums, and
-    the walk yields only the first hit, the sorted union of the two first
-    hits: among optima of equal size the lesser holds the least element
-    where they differ, and that element lies in one class, where the
-    least optimum holds it, so the union is the least optimum.
+    the least optimum is the sorted union of the two least ones: among
+    optima of equal size the lesser holds the least element where they
+    differ, and that element lies in one class, where the least optimum
+    holds it, so the union is the least optimum.
     """
     position = {v: i for i, v in enumerate(vertices)}
     nbr = [sum(1 << position[w] for w in adjacency[v]) for v in vertices]
@@ -460,11 +444,15 @@ def _total_domination_search(
         layer = reach & ~seen
         seen |= layer
     # each class is dominated by picks from the other alone
-    (size, nodes, hits), (more, extra, more_hits) = (
+    (size, nodes, least), (more, extra, more_least) = (
         _deepening_search(nbr, full, bounds, start=pair) for pair in ((near, far), (far, near))
     )
-    first = ((tuple(sorted(a + b)), i + j) for (a, i), (b, j) in islice(zip(hits, more_hits), 1))
-    return vertices, size + more, nodes + extra, first
+
+    def both() -> tuple[tuple[int, ...], int]:
+        (a, i), (b, j) = least(), more_least()
+        return tuple(sorted(a + b)), i + j
+
+    return vertices, size + more, nodes + extra, both
 
 
 def _edge_masks(
@@ -487,11 +475,10 @@ def _edge_masks(
 
 
 def _maximal_matching_search(
-    adjacency: Sequence[frozenset[int]], vertices: Sequence[int], budget: int | None = None
+    adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
 ) -> _Search:
-    """The search for the maximal matchings on sorted ``vertices``, a union
-    of components, whose items are the sorted edges.  Their sizes form an
-    interval, so the walk may stop at an empty size.
+    """The search for the smallest maximal matchings on sorted
+    ``vertices``, a union of components, whose items are the sorted edges.
 
     A maximal edge set leaves no edge with both ends uncovered
     ("undominated").  Only undominated edges are picked, and a pick
@@ -537,30 +524,20 @@ def _maximal_matching_search(
                         break
         return max(packed, -(-disjoint // 2)), fewest, killed if packed == slots else -1
 
-    return (edges, *_deepening_search(kill, 0, bounds, budget))
-
-
-def _maximal_matchings(
-    adjacency: Sequence[frozenset[int]], vertices: Sequence[int], budget: int | None = None
-) -> Iterator[tuple[list[Edge], int]]:
-    """The maximal matchings on sorted ``vertices``, a union of components,
-    smallest first, as sorted edge lists, each with the search nodes
-    explored so far."""
-    edges, _, _, hits = _maximal_matching_search(adjacency, vertices, budget)
-    return (([edges[i] for i in picks], nodes) for picks, nodes in hits)
+    return (edges, *_deepening_search(kill, 0, bounds))
 
 
 def _by_component(g: Graph, search: Callable[..., _Search]) -> tuple[list, SearchStats]:
-    """The items of the first hit of ``search(adjacency, sorted component)``'s
-    walk, its least optimum, over the components of ``g`` with an edge, and
-    the search they took together."""
+    """The items of the least optimum of ``search(adjacency, sorted
+    component)`` over the components of ``g`` with an edge, and the search
+    they took together."""
     started = perf_counter()
     picks: list = []
     nodes = 0
     for component in connected_components(g):
         if len(component) > 1:
-            items, _, _, hits = search(g._adjacency, sorted(component))
-            local, explored = next(hits)
+            items, _, _, least = search(g._adjacency, sorted(component))
+            local, explored = least()
             picks += [items[i] for i in local]
             nodes += explored
     return picks, SearchStats(nodes, perf_counter() - started)
@@ -600,7 +577,7 @@ def minimum_maximal_matching(g: Graph, *, max_vertices: int | None = None) -> So
 
     The graph needs at least one edge.  Isolated vertices are irrelevant to
     matchings and are tolerated; components are solved independently, and
-    the first maximal matching of each is its least optimum.
+    the walk of each stops at its least optimum.
     """
     if g.edge_count == 0:
         raise DomainError("graph has no edges: mu_star undefined")

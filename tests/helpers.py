@@ -26,7 +26,6 @@ from domatch import (
     connected_components,
     cycle,
     girth,
-    iter_maximal_matchings,
     min_degree,
     random_tight_graph,
     subdivided_grid,
@@ -122,25 +121,31 @@ def include_exclude_maximal_matchings(g: Graph) -> Iterator[Matching]:
             stack.append((i + 1, undominated & ~kill[i], chosen + (i,)))
 
 
+def maximal_matchings_by_size(g: Graph) -> list[Matching]:
+    """Every maximal matching, smallest first; the stable sort keeps the
+    lexicographic order of :func:`include_exclude_maximal_matchings` within
+    a size, so the first is the least minimum maximal matching."""
+    return sorted(include_exclude_maximal_matchings(g), key=len)
+
+
 def minimum_certifying_matching(g: Graph) -> Matching | None:
     """First minimum maximal matching that meets the four certificate
-    conditions, in the (size, lexicographic) order of the enumeration.
+    conditions, in the (size, lexicographic) order of
+    :func:`maximal_matchings_by_size`.
 
     A certificate M forces γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so only the matchings
     of size μ* are walked, each dropped at its first violation.  It runs
-    on the package's enumerator and violation stream, which have tests of
-    their own, so comparing it with ``find_certifying_matching`` checks
-    the pruning of that search alone.
+    on the include/exclude enumerator above and the package's violation
+    stream, which has tests of its own, so comparing it with
+    ``find_certifying_matching`` checks the pruning of that search alone.
     """
     adjacency = g._adjacency
     vertices = g.vertices()
     support = support_classification(g)
     pinned = _pinned_pairs(adjacency, vertices)
-    mu_star = None
-    for m in iter_maximal_matchings(g):
-        if mu_star is None:
-            mu_star = len(m)
-        elif len(m) > mu_star:
+    matchings = maximal_matchings_by_size(g)
+    for m in matchings:
+        if len(m) > len(matchings[0]):
             break
         if next(_certificate_violations(adjacency, vertices, support, pinned, m), None) is None:
             return m

@@ -17,7 +17,6 @@ from domatch import (
     is_maximal_matching,
     is_tight_graph,
     is_total_dominating,
-    iter_maximal_matchings,
     min_degree,
     minimum_maximal_matching,
     parse_edge_list,
@@ -205,29 +204,26 @@ def test_conditions_match_their_definition_on_every_small_maximal_matching():
 
 
 # ---------------------------------------------------------------------------
-# maximal-matching enumeration
-
-
-def by_size_then_lex(matchings):
-    return sorted(matchings, key=lambda m: (len(m), m.edges))
+# maximal-matching enumeration in the tests and the least minimum one
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_enumeration_matches_brute_force(n):
-    # the power set is too slow past 5 vertices; the include/exclude
-    # reference covers the whole catalog, order included
+    # The tests' enumeration lists maximal matchings once each, by size and
+    # then lexicographically; the power set is too slow past 5 vertices.
     for g in connected_catalog(n):
-        got = list(iter_maximal_matchings(g))
+        got = helpers.maximal_matchings_by_size(g)
+        assert got == sorted(got, key=lambda m: (len(m), m.edges))
         assert len({frozenset(m.edges) for m in got}) == len(got)
-        assert got == by_size_then_lex(helpers.include_exclude_maximal_matchings(g))
+        assert all(helpers.is_maximal_edges(g, m) for m in got)
         if n <= 5:
             assert {frozenset(m.edges) for m in got} == helpers.brute_maximal_matchings(g)
 
 
 def test_enumeration_matches_include_exclude_past_seven_vertices():
-    # Sizes below the first hit are proven empty by a search that ignores
-    # pick order, so a size wrongly proven empty would drop its matchings,
-    # and a size searched out of order would list them out of order.  The
+    # Sizes below the optimum are proven empty by a search that ignores
+    # pick order, so a size wrongly proven empty would raise μ*, and a walk
+    # of the optimum size out of order would return another witness.  The
     # fixed graphs have 12 to 14 vertices and two to four sizes each.
     rng = random.Random(2104)
     graphs = [subdivided_grid(3), cycle(12), spider(4), path(12)]
@@ -239,45 +235,15 @@ def test_enumeration_matches_include_exclude_past_seven_vertices():
         graphs.append(helpers.relabel(g, permutation))
         assert graphs[-1].edge_count <= 18
     for h in graphs:
-        got = list(iter_maximal_matchings(h))
-        assert got == by_size_then_lex(helpers.include_exclude_maximal_matchings(h))
+        result = minimum_maximal_matching(h)
+        least = helpers.maximal_matchings_by_size(h)[0]
+        assert (result.value, result.witness) == (len(least), least)
 
 
 def test_enumeration_matches_brute_force_fixtures():
     for g in [cycle(6), cycle(7), subdivided_grid(2), spider(3)]:
-        got = {frozenset(m.edges) for m in iter_maximal_matchings(g)}
+        got = {frozenset(m.edges) for m in helpers.maximal_matchings_by_size(g)}
         assert got == helpers.brute_maximal_matchings(g)
-
-
-def test_enumeration_order_is_lexicographic():
-    # by size first, then lexicographically by sorted edge indices
-    g = subdivided_grid(2)
-    index = {e: i for i, e in enumerate(sorted(g.edges()))}
-    keys = [tuple(index[e] for e in m.edges) for m in iter_maximal_matchings(g)]
-    assert keys == sorted(keys, key=lambda key: (len(key), key))
-    assert all(key == tuple(sorted(key)) for key in keys)
-    assert len({len(key) for key in keys}) > 1
-
-
-def test_enumeration_of_edgeless_graph_yields_empty_matching():
-    assert [m.edges for m in iter_maximal_matchings(Graph(3))] == [()]
-    assert [m.edges for m in iter_maximal_matchings(Graph(0))] == [()]
-
-
-def test_enumeration_budget():
-    with pytest.raises(ResourceLimitError, match="exceeded 2 nodes"):
-        list(iter_maximal_matchings(subdivided_grid(2), budget=2))
-
-
-def test_enumeration_depth_is_not_bounded_by_recursion():
-    # one search level per picked edge; the solvers' own depth test
-    # (tests/test_oracles.py) runs under a lowered recursion limit
-    for g in (path(1200), cycle(1200)):
-        first = next(iter_maximal_matchings(g))
-        assert len(first) == 400
-        assert is_maximal_matching(g, first.edges)
-    with pytest.raises(ResourceLimitError, match="exceeded 10000 nodes"):
-        list(iter_maximal_matchings(path(1200), budget=10_000))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +562,7 @@ def test_tds_from_matching_bound_over_catalog():
             if min_degree(g) < 3:
                 continue
             delta = min_degree(g)
-            for m in itertools.islice(iter_maximal_matchings(g), 6):
+            for m in helpers.maximal_matchings_by_size(g)[:6]:
                 s = total_dominating_set_from_matching(g, m)
                 assert is_total_dominating(g, s)
                 assert len(s) <= 2 * len(m) - delta + 2

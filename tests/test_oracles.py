@@ -27,7 +27,7 @@ from domatch import (
     total_domination_number,
 )
 from domatch.generators import cycle, high_degree_extremal, path, spider, subdivided_grid, triangle_book
-from domatch.oracles import DEFAULT_MAX_VERTICES, _maximal_matchings, _optima
+from domatch.oracles import DEFAULT_MAX_VERTICES, _optima
 
 import helpers
 from catalogs import connected_catalog
@@ -260,20 +260,6 @@ def test_solver_node_ceilings():
     result = minimum_maximal_matching(cycle(60), max_vertices=60)
     assert result.value == 20
     assert result.stats.nodes <= 1_000
-
-
-def test_second_maximal_matching_resumes_from_the_first():
-    # Deterministic counters.  sparse_graph(5, 28, 0, 3) has μ* = 9; the
-    # first maximal matching takes 987 nodes and the second 1,470 in all,
-    # since the ordered walk backtracks from the first hit (1,304 and 1,924
-    # when a tight packing does not confine the proof's picks to its
-    # settlers).  A search that lists the optimum size again from no picks
-    # reaches it at 3,689.
-    g = helpers.sparse_graph(5, 28, 0, 3)
-    matchings = _maximal_matchings(g._adjacency, g.vertices())
-    (first, _), (second, nodes) = next(matchings), next(matchings)
-    assert len(first) == len(second) == 9 and first < second
-    assert nodes <= 1_800
 
 
 def test_solver_node_totals_on_the_small_catalog():

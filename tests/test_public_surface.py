@@ -48,6 +48,13 @@ def test_unknown_name_is_an_attribute_error():
         domatch.no_such_name
 
 
+def test_maximal_matching_enumeration_is_not_public():
+    # the solvers walk to the least witness only; no enumeration is offered
+    assert "iter_maximal_matchings" not in domatch.__all__
+    with pytest.raises(AttributeError):
+        domatch.iter_maximal_matchings
+
+
 def test_submodules_resolve_from_a_bare_import():
     proc = subprocess.run(
         [sys.executable, "-c", "import domatch; print(domatch.oracles.DEFAULT_MAX_VERTICES)"],

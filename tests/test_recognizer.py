@@ -16,7 +16,6 @@ from domatch import (
     connected_components,
     is_maximal_matching,
     is_tight_graph,
-    iter_maximal_matchings,
     min_degree,
     minimum_maximal_matching,
     random_tight_graph,
@@ -218,7 +217,7 @@ def test_degree_two_conditions_are_the_leafy_conditions_without_leaves():
             if min_degree(g) != 2:
                 continue
             graphs += 1
-            for m in iter_maximal_matchings(g):
+            for m in helpers.maximal_matchings_by_size(g):
                 matchings += 1
                 leafless = check_degree_two_certificate(g, m)
                 leafy = check_certificate_conditions(g, m)
@@ -260,7 +259,7 @@ def test_violation_messages_do_not_depend_on_vertex_ids():
         for g in connected_catalog(n):
             reverse = list(range(n))[::-1]
             mirror = helpers.relabel(g, reverse)
-            for m in iter_maximal_matchings(g):
+            for m in helpers.maximal_matchings_by_size(g):
                 matchings += 1
                 found = messages(g, m)
                 assert messages(mirror, Matching((reverse[u], reverse[v]) for u, v in m)) == found
@@ -424,7 +423,7 @@ def test_certifying_matching_is_unique_on_grid():
     g = subdivided_grid(2)
     passing = [
         m
-        for m in iter_maximal_matchings(g)
+        for m in helpers.maximal_matchings_by_size(g)
         if check_degree_two_certificate(g, m).holds
     ]
     assert passing == [Matching([(0, 3), (1, 4), (2, 5)])]
