@@ -16,13 +16,15 @@ so (i) and (ii) fail together, exactly when an ``S⁺`` vertex is matched
 outside the support.  Without leaves (iii)/(iv) over the matched vertices
 are the recognizer's degree-two conditions (i)/(ii).  A certificate M
 forces γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so every certificate of a graph has the
-same size and the search never computes μ*.  It runs once per connected
-component, over all sizes, and conditions (i)–(iii) decide while it picks
-which edges may be taken and which vertices must stay unmatched.  Each
-node branches on the undominated edge with the fewest live killers, the
-"fewest rows first" rule of Knuth's Dancing Links, so the cost follows
-the graph, not the order of its ids.  Each maximal matching it reaches
-gets the full check.
+same size and the search never computes μ*.  It reads its edges off the
+edge index of μ*'s search, built once over the whole graph, and runs once
+per connected component, a connected graph included, with that
+component's supports and edges, over all sizes; conditions (i)–(iii)
+decide while it picks which edges may be taken and which vertices must
+stay unmatched.  Each node branches on the undominated edge with the
+fewest live killers, the "fewest rows first" rule of Knuth's Dancing
+Links, so the cost follows the graph, not the order of its ids.  Each
+maximal matching it reaches gets the full check.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .graph import (
     min_degree,
     support_classification,
 )
-from .oracles import Matching, _extending_edge, _validated_edges, is_maximal_matching
+from .oracles import Matching, _edge_masks, _extending_edge, _validated_edges, is_maximal_matching
 
 #: Node budget of one certificate search, shared by all its components.
 DEFAULT_ENUMERATION_BUDGET = 10**6
@@ -284,10 +286,13 @@ def find_certifying_matching(
 
     A certificate forces γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so all certificates have
     size μ*.  The conditions are local to a component, so each component
-    is searched alone, with its own supports, in order of its least
-    vertex; the first without a certificate makes the answer None, and a
-    component of minimum degree three or more has none.  One depth-first
-    search per component runs over all sizes, pruned by the conditions:
+    is searched alone, with its own supports and edges, in order of its
+    least vertex, and a connected graph is one such component; the first
+    without a certificate makes the answer None, and a component of
+    minimum degree three or more has none.  The edges, the edges at each
+    vertex and the kill sets are those of the μ* search's edge index over
+    the whole graph.  One depth-first search per component runs over all
+    sizes, pruned by the conditions:
 
     - (i)/(ii) allow an edge only if both ends are supports, one end is in
       ``S⁻`` or no end is a support; every other edge must be dominated
@@ -320,18 +325,15 @@ def find_certifying_matching(
     adjacency = g._adjacency
     support = support_classification(g)
     sup, s_minus = support.sup, support.s_minus
-    # one pass over the whole graph's sorted pairs, edge bit i for the i-th:
-    # the edges at each vertex, the edges that (i)/(ii) allow, and per vertex
+    # the whole graph's edge index, edge bit i for the i-th sorted pair, and
+    # one pass over its pairs: the edges that (i)/(ii) allow, and per vertex
     # the allowed edges that would put it in the pool of (iii), as an S⁻ end
     # or an end of a no-support edge
-    pairs = [(u, v) for u in g.vertices() for v in sorted(adjacency[u]) if v > u]
-    incident = [0] * len(adjacency)
+    pairs, incident, kill = _edge_masks(adjacency, g.vertices())
     pooled = [0] * len(adjacency)
     allowed = 0
     for i, (u, v) in enumerate(pairs):
         bit = 1 << i
-        incident[u] |= bit
-        incident[v] |= bit
         if u in s_minus or v in s_minus:
             pooled[u if u in s_minus else v] |= bit
         elif u not in sup and v not in sup:
@@ -350,7 +352,6 @@ def find_certifying_matching(
         around[v] |= incident[u]
         seen[u] |= pooled[v]
         seen[v] |= pooled[u]
-    kill = [incident[u] | incident[v] for u, v in pairs]
     # per edge, what a pick rules out: the edges at its ends, those at a
     # vertex it blocks, and those pooling a neighbor of its ends
     shut = [
@@ -363,17 +364,11 @@ def find_certifying_matching(
     nodes = 0
     pinned = None
     picked: list[Edge] = []
-    components = connected_components(g)
-    for component in components:
-        # a connected graph is its own component, with no split to build
-        if len(components) == 1:
-            vertices: Sequence[int] = g.vertices()
-            part, own = support, (1 << len(pairs)) - 1
-        else:
-            vertices, own = sorted(component), 0
-            for v in vertices:
-                own |= incident[v]
-            part = SupportClassification(*(side & component for side in support))
+    for component in connected_components(g):
+        vertices, own = sorted(component), 0
+        for v in vertices:
+            own |= incident[v]
+        part = SupportClassification(*(side & component for side in support))
         # (undominated edges, live edges, picks so far); a live edge is
         # allowed, touches no matched or blocked vertex and pools no
         # neighbor of a matched vertex, as ``shut`` rules out per pick

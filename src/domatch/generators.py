@@ -113,6 +113,12 @@ def high_degree_extremal(n: int, delta: int, *, max_vertices: int = 4096) -> Gra
     if 2 * n < delta + 1:
         raise DomainError(f"need 2n >= delta + 1, got n={n}, delta={delta}")
     base = 2 * n
+    # 3 <= δ < 2n gives C(2n, δ) >= 2n: refuse on that floor of 4n vertices
+    # before computing a binomial that may be far too large
+    if 2 * base > max_vertices:
+        raise ResourceLimitError(
+            f"at least {2 * base} vertices exceeds the generator limit of {max_vertices}"
+        )
     total = base + comb(base, delta)
     if total > max_vertices:
         raise ResourceLimitError(

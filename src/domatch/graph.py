@@ -48,14 +48,6 @@ def _check_label(label: str) -> str:
     return label
 
 
-def _sorted_edges(adjacency: Sequence[frozenset[int]], vertices: Sequence[int]) -> tuple[Edge, ...]:
-    """Edges at sorted ``vertices``, a union of components, sorted canonically:
-    each u's larger neighbours in order, built with tuple.__new__, which
-    skips the named tuple's Python-level constructor and halves the cost."""
-    pairs = [(u, v) for u in vertices for v in sorted(adjacency[u]) if v > u]
-    return tuple(map(tuple.__new__, repeat(Edge), pairs))
-
-
 class Graph:
     """A finite simple undirected graph.
 
@@ -82,12 +74,9 @@ class Graph:
             raise DomainError("vertex count must be nonnegative")
         adjacency: list[set[int]] = [set() for _ in range(vertex_count)]
         for a, b in edges:
-            if a == b:
-                raise DomainError(f"self-loop at vertex {a}")
-            if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-                raise DomainError(
-                    f"edge {Edge.of(a, b)} has an endpoint outside 0..{vertex_count - 1}"
-                )
+            e = Edge.of(a, b)
+            if e.u < 0 or e.v >= vertex_count:
+                raise DomainError(f"edge {e} has an endpoint outside 0..{vertex_count - 1}")
             adjacency[a].add(b)
             adjacency[b].add(a)
         if labels is None:
@@ -133,7 +122,12 @@ class Graph:
     def edges(self) -> tuple[Edge, ...]:
         """All edges, sorted canonically."""
         if self._edges is None:
-            self._edges = _sorted_edges(self._adjacency, self.vertices())
+            # each u's larger neighbours in order, built with tuple.__new__,
+            # which skips the named tuple's Python-level constructor and
+            # halves the cost
+            adjacency = self._adjacency
+            pairs = [(u, v) for u in self.vertices() for v in sorted(adjacency[u]) if v > u]
+            self._edges = tuple(map(tuple.__new__, repeat(Edge), pairs))
         return self._edges
 
     def neighbors(self, v: int) -> frozenset[int]:

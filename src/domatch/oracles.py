@@ -16,19 +16,21 @@ picks (ids of the input) and nodes; no subgraph is built.
 :func:`_optima` reads both values in one such pass.  One driver,
 :func:`_deepening_search`, serves every search: it deepens the solution
 size, searches on explicit stacks (so depth is not bounded by the
-recursion limit) and counts nodes.  Each solver brings only
-its masks, open neighborhoods for γ_t and edge kill sets for μ* (bit i is
-the component's i-th vertex or edge), and its bound: one pass over what is
-still undominated that counts a greedy packing (the domination solver
-tries an O(1) count bound first) and finds the element with the fewest
-settlers still allowed.  The pass visits elements in an order fixed once
-per component, fewest possible settlers first (degree for γ_t, kill-set
-size for μ*) and ties by index, so the packing meets its tightest elements
-first; an element with no allowed settler cuts the branch.  The packed
-elements' allowed settlers are pairwise disjoint, so a pick settles at
-most one of them; when the packing fills every free slot, each pick of a
-cover settles a different one, and the pass also returns the union of
-their settlers, within which every pick must lie.
+recursion limit) and counts nodes.  Each solver brings only its masks,
+open neighborhoods for γ_t and edge kill sets for μ* (bit i is the
+component's i-th vertex or edge; the kill sets come from
+:func:`_edge_masks`, the edge index the certificate search reads too), and
+its bound: one pass over what is still undominated that counts a greedy
+packing (the domination solver tries an O(1) count bound first) and finds
+the element with the fewest settlers still allowed.  The pass visits
+elements in an order fixed once per component, fewest possible settlers
+first (degree for γ_t, kill-set size for μ*) and ties by index, so the
+packing meets its tightest elements first; an element with no allowed
+settler cuts the branch.  The packed elements' allowed settlers are
+pairwise disjoint, so a pick settles at most one of them; when the packing
+fills every free slot, each pick of a cover settles a different one, and
+the pass also returns the union of their settlers, within which every pick
+must lie.
 
 The driver runs two searches in two phases.  Most of the work is showing
 that the sizes below the optimum are empty, and there pick order does not
@@ -68,7 +70,7 @@ from time import perf_counter
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .graph import Edge, Graph, _sorted_edges, connected_components, min_degree
+from .graph import Edge, Graph, connected_components, min_degree
 
 #: Hard ceiling on instance size for the exact solvers.
 DEFAULT_MAX_VERTICES = 24
@@ -457,28 +459,27 @@ def _total_domination_search(
 
 def _edge_masks(
     adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
-) -> tuple[tuple[Edge, ...], list[int], list[int]]:
-    """The sorted edges at sorted ``vertices``, a union of components, with
-    two masks per edge: the edges sharing an endpoint with it (itself
-    included), as bits over edge indices, and its two endpoints, as bits
-    over vertex indices.  Vertex index i is ``vertices[i]``."""
-    edges = _sorted_edges(adjacency, vertices)
-    position = {v: i for i, v in enumerate(vertices)}
-    pairs = [(position[u], position[v]) for u, v in edges]
-    incident = [0] * len(vertices)  # the edges at each vertex
+) -> tuple[list[tuple[int, int]], dict[int, int], list[int]]:
+    """The edge index of sorted ``vertices``, a union of components: its
+    sorted edges as plain ``(u, v)`` id pairs, edge bit i for the i-th, a
+    dict from each vertex id to the mask of its edges, and each edge's kill
+    set, the edges sharing an end with it (itself included).  Both the μ*
+    search and the certificate search read their edges off it."""
+    pairs = [(u, v) for u in vertices for v in sorted(adjacency[u]) if v > u]
+    incident = dict.fromkeys(vertices, 0)
     for i, (u, v) in enumerate(pairs):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
     kill = [incident[u] | incident[v] for u, v in pairs]
-    ends = [(1 << u) | (1 << v) for u, v in pairs]
-    return edges, kill, ends
+    return pairs, incident, kill
 
 
 def _maximal_matching_search(
     adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
 ) -> _Search:
     """The search for the smallest maximal matchings on sorted
-    ``vertices``, a union of components, whose items are the sorted edges.
+    ``vertices``, a union of components, whose items are the sorted edges
+    as ``(u, v)`` id pairs.
 
     A maximal edge set leaves no edge with both ends uncovered
     ("undominated").  Only undominated edges are picked, and a pick
@@ -487,24 +488,27 @@ def _maximal_matching_search(
     two of a set of vertex-disjoint undominated edges, and at most one of a
     set whose kill sets within the allowed edges are pairwise disjoint;
     both greedy packings take edges with the smallest kill sets first, ties
-    by index, and the larger count is the picks still needed.
+    by index, and the larger count is the picks still needed.  An edge
+    shares an end with a packed edge exactly when it lies in that edge's
+    kill set, so the vertex-disjoint packing grows the union of the packed
+    edges' kill sets and takes an edge outside it.
     """
-    edges, kill, ends = _edge_masks(adjacency, vertices)
+    pairs, _, kill = _edge_masks(adjacency, vertices)
     m = len(kill)
-    # (bit, kill set, ends) per edge, fewest killers first, ties by index
+    # (bit, kill set) per edge, fewest killers first, ties by index
     order = sorted(range(m), key=lambda i: kill[i].bit_count())
-    packing = [(1 << i, kill[i], ends[i]) for i in order]
+    packing = [(1 << i, kill[i]) for i in order]
 
     def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int, int]:
         # (picks still needed, fewest allowed killers of an undominated
         # edge, the packed edges' killers if they fill the slots or else all
         # ones), stopping once need > slots
         disjoint = packed = 0
-        covered = killed = 0
+        touched = killed = 0
         limit = 2 * slots
         fewest = 0
         choices = m + 1
-        for bit, killers, pair in packing:
+        for bit, killers in packing:
             if undominated & bit:
                 reach = killers & allowed
                 if not reach:
@@ -512,8 +516,8 @@ def _maximal_matching_search(
                 if choices > 1 and reach.bit_count() < choices:
                     fewest = reach
                     choices = reach.bit_count()
-                if pair & covered == 0:
-                    covered |= pair
+                if bit & touched == 0:
+                    touched |= killers
                     disjoint += 1
                     if disjoint > limit:
                         break
@@ -524,7 +528,7 @@ def _maximal_matching_search(
                         break
         return max(packed, -(-disjoint // 2)), fewest, killed if packed == slots else -1
 
-    return (edges, *_deepening_search(kill, 0, bounds))
+    return (pairs, *_deepening_search(kill, 0, bounds))
 
 
 def _by_component(g: Graph, search: Callable[..., _Search]) -> tuple[list, SearchStats]:

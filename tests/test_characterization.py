@@ -463,6 +463,20 @@ def test_find_cost_does_not_follow_the_id_order():
     assert find_certifying_matching(shuffled(path(160), random.Random(99)), budget=200) is None
 
 
+def least_budget(g):
+    """The least node budget on which the certificate search of ``g``
+    does not raise, and its certificate, which must exist."""
+    budget = 1
+    while True:
+        try:
+            found = find_certifying_matching(g, budget=budget)
+        except ResourceLimitError:
+            budget += 1
+            continue
+        assert found is not None
+        return budget, found
+
+
 def test_find_cost_adds_over_components():
     # Each component is searched alone, so a failing part is not retried
     # against every certificate of the parts before it.  Measured: 32 nodes
@@ -481,6 +495,21 @@ def test_find_cost_adds_over_components():
     assert tight.vertex_count == 38
     union, _ = helpers.relabelled_union(random.Random(179), [tight, path(80)])
     assert find_certifying_matching(union, budget=120) is None
+    # Exactly additive: two copies of a certified graph take twice its
+    # least budget and get twice its certificate.  A connected graph and a
+    # union take the same component path, so they agree node for node.
+    params = TightGraphParams(max_k2=6, max_a=3, mark_probability=0.3, max_vertices=24)
+    draws = [random_tight_graph(seed, params)[0] for seed in range(6)]
+    graphs = [spider(3), spider(5)] + [g for g in draws if min_degree(g) == 1]
+    budgets = []
+    for g in graphs:
+        (alone, found), (twice, doubled) = (
+            least_budget(h) for h in (g, helpers.disjoint_union(g, g))
+        )
+        assert twice == 2 * alone
+        assert len(doubled.matching) == 2 * len(found.matching)
+        budgets.append((alone, twice))
+    assert budgets == [(4, 8), (6, 12), (6, 12), (3, 6), (2, 4), (3, 6), (4, 8)]
 
 
 def test_find_cost_is_linear_on_relabelled_leafy_tight_graphs():

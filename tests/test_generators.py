@@ -120,13 +120,27 @@ def test_high_degree_extremal_meets_bound():
     assert minimum_maximal_matching(g).value == 2
 
 
-def test_high_degree_extremal_rejects_bad_parameters():
+def test_high_degree_extremal_rejects_bad_parameters(monkeypatch):
     with pytest.raises(DomainError, match="at least 3"):
         high_degree_extremal(3, 2)
     with pytest.raises(DomainError, match="2n >= delta \\+ 1"):
         high_degree_extremal(1, 3)
-    with pytest.raises(ResourceLimitError, match="generator limit"):
+    with pytest.raises(ResourceLimitError, match="^26 vertices exceeds the generator limit of 20$"):
         high_degree_extremal(3, 3, max_vertices=20)
+
+    # C(2n, δ) >= 2n, so 4n vertices over the limit refuse the graph
+    # without computing a binomial that may take unbounded time
+    def refuse(*args):
+        pytest.fail("the binomial was computed before the size check")
+
+    monkeypatch.setattr("domatch.generators.comb", refuse)
+    with pytest.raises(ResourceLimitError, match="generator limit"):
+        high_degree_extremal(5000, 3)
+    with pytest.raises(
+        ResourceLimitError,
+        match="^at least 8000000 vertices exceeds the generator limit of 4096$",
+    ):
+        high_degree_extremal(2_000_000, 2_000_000)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,15 @@ def test_graph_rejects_bad_input():
         Graph(2, [(0, 2)])
     with pytest.raises(DomainError):
         Graph(2, [(0, 0)])
+    # a self-loop is reported first; the range message names the canonical edge
+    with pytest.raises(DomainError, match="^self-loop at vertex 1$"):
+        Graph(2, [(1, 1)])
+    with pytest.raises(
+        DomainError, match=r"^edge Edge\(u=0, v=3\) has an endpoint outside 0\.\.1$"
+    ):
+        Graph(2, [(3, 0)])
+    with pytest.raises(DomainError, match="^self-loop at vertex 5$"):
+        Graph(2, [(5, 5)])
     with pytest.raises(DomainError):
         Graph(2, [], labels=["a"])
     with pytest.raises(DomainError):
