@@ -23,8 +23,11 @@ component's supports and edges, over all sizes; conditions (i)–(iii)
 decide while it picks which edges may be taken and which vertices must
 stay unmatched.  Each node branches on the undominated edge with the
 fewest live killers, the "fewest rows first" rule of Knuth's Dancing
-Links, so the cost follows the graph, not the order of its ids.  Each
-maximal matching it reaches gets the full check.
+Links, so the cost follows the graph, not the order of its ids.  A leaf
+is maximal, as it dominates every edge, and meets (i)–(iii) by
+construction, as it picks only edges (i)/(ii) allow and each pick rules
+out what (iii) forbids; so a leaf is checked for (iv) alone, by the helper
+the stream reads (iv) from.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ from .graph import (
 )
 from .oracles import Matching, _edge_masks, _extending_edge, _validated_edges, is_maximal_matching
 
-#: Node budget of one certificate search, shared by all its components.
-DEFAULT_ENUMERATION_BUDGET = 10**6
+#: Node budget of :func:`find_certifying_matching`, shared by all the
+#: components it searches.
+DEFAULT_SEARCH_BUDGET = 10**6
 
 #: Condition identifiers, in report order.
 CONDITION_IDS = ("i", "ii", "iii", "iv")
@@ -100,19 +104,13 @@ def partition_matching(g: Graph, m: Matching) -> MatchingPartition:
 
 
 def _partition(m: Matching, support: SupportClassification) -> MatchingPartition:
-    plus: list[Edge] = []
-    minus: list[Edge] = []
-    star: list[Edge] = []
+    # the edges by their number of support ends; two support ends are
+    # adjacent supports, so both lie in S⁺
+    by_count: tuple[list[Edge], ...] = ([], [], [])
     for e in m:
-        in_sup = (e.u in support.sup) + (e.v in support.sup)
-        if in_sup == 2:
-            # Two support ends are adjacent supports, so both lie in S⁺.
-            plus.append(e)
-        elif in_sup == 1:
-            minus.append(e)
-        else:
-            star.append(e)
-    return MatchingPartition(tuple(plus), tuple(minus), tuple(star))
+        by_count[(e.u in support.sup) + (e.v in support.sup)].append(e)
+    star, minus, plus = map(tuple, by_count)
+    return MatchingPartition(plus, minus, star)
 
 
 def _pinned_pairs(
@@ -154,14 +152,12 @@ def _certificate_violations(
     from one scan of ``S⁺``: its vertices matched outside the support, and
     their edges.  Last, under ``local_ids``, the local conditions over the
     sorted pool ``S⁻ ∪ V(M*)``, which is ``V(M)`` without supports: each
-    pool vertex sees exactly one matched vertex, its partner; then, in
-    sorted (u, v) order, pool vertices u, v sharing a neighbor need some
-    vertex with neighborhood exactly {p(u), p(v)}, looked up in ``pinned``
-    (see :func:`_pinned_pairs`).  Such pairs are found by walking the
-    pool's neighbors, so no pair without a common neighbor is looked at.
-    Each condition's message is one fixed text: the ids it concerns are in
-    the violation's ``vertices`` and ``edges``, so a caller shows them in
-    its own labels.
+    pool vertex sees exactly one matched vertex, its partner; then, from
+    :func:`_unwitnessed_pairs`, pool vertices sharing a neighbor whose
+    partners no vertex has as its whole neighborhood (see
+    :func:`_pinned_pairs`).  Each condition's message is one fixed text:
+    the ids it concerns are in the violation's ``vertices`` and ``edges``,
+    so a caller shows them in its own labels.
     """
     covered = m.covered
     extending = _extending_edge(adjacency, vertices, covered)
@@ -201,6 +197,18 @@ def _certificate_violations(
                 " vertices; it sees the rest",
             )
 
+    yield from _unwitnessed_pairs(adjacency, pinned, partner, pool, witness_id)
+
+
+def _unwitnessed_pairs(
+    adjacency: Sequence[frozenset[int]], pinned: Mapping[int, set[int]],
+    partner: Mapping[int, int], pool: Sequence[int], witness_id: str = "iv",
+) -> Iterator[Violation]:
+    """Violations of (iv) over the sorted ``pool``, in sorted (u, v) order:
+    pool vertices u < v that share a neighbor while no vertex has
+    neighborhood exactly {p(u), p(v)}, looked up in ``pinned``.  Such pairs
+    are found by walking the pool's neighbors, so no pair without a common
+    neighbor is looked at."""
     in_pool = frozenset(pool)
     for u in pool:
         witnessed = pinned.get(partner[u], ())
@@ -280,7 +288,7 @@ def check_certificate_conditions(g: Graph, m: Matching) -> ConditionReport:
 
 
 def find_certifying_matching(
-    g: Graph, *, budget: int = DEFAULT_ENUMERATION_BUDGET
+    g: Graph, *, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> CertifyingMatchingResult | None:
     """A maximal matching satisfying all four certificate conditions.
 
@@ -309,8 +317,13 @@ def find_certifying_matching(
       killer leaves the live edges of its later siblings, so every
       maximal matching is reached at most once.
 
-    Each maximal matching reached gets the full check, and the first to
-    pass is the component's certificate.  The result is deterministic, but
+    A leaf, where no edge is left undominated, needs only (iv): it is
+    maximal, as it dominates every edge; (i)/(ii) hold, as only allowed
+    edges are picked; and (iii) holds, as each pick rules out what (iii)
+    forbids.  So a leaf reads its partners off the picks, and its pool,
+    the picks' ends that ``S⁻`` or a no-support edge puts there, off the
+    per-vertex pool masks, and the first leaf without an (iv) violation
+    is the component's certificate.  The result is deterministic, but
     which certificate it is, when a graph has several, is not promised:
     the tests check that it is the first minimum maximal matching meeting
     the conditions in lexicographic order of sorted edge-index tuples
@@ -324,67 +337,49 @@ def find_certifying_matching(
     _require_low_degree(g)
     adjacency = g._adjacency
     support = support_classification(g)
-    sup, s_minus = support.sup, support.s_minus
-    # the whole graph's edge index, edge bit i for the i-th sorted pair, and
-    # one pass over its pairs: the edges that (i)/(ii) allow, and per vertex
-    # the allowed edges that would put it in the pool of (iii), as an S⁻ end
-    # or an end of a no-support edge
+    # the whole graph's edge index, edge bit i for the i-th sorted pair
     pairs, incident, kill = _edge_masks(adjacency, g.vertices())
-    pooled = [0] * len(adjacency)
-    allowed = 0
-    for i, (u, v) in enumerate(pairs):
-        bit = 1 << i
-        if u in s_minus or v in s_minus:
-            pooled[u if u in s_minus else v] |= bit
-        elif u not in sup and v not in sup:
-            pooled[u] |= bit
-            pooled[v] |= bit
-        elif u not in sup or v not in sup:
-            continue  # one end in S⁺ and one outside the support breaks (ii)
-        allowed |= bit
-    # per vertex x: the edges at its neighbors, blocked once x is matched
-    # into the pool, and the allowed edges pooling a neighbor, which (iii)
-    # rules out once x is matched
-    around = [0] * len(adjacency)
-    seen = [0] * len(adjacency)
-    for u, v in pairs:
-        around[u] |= incident[v]
-        around[v] |= incident[u]
-        seen[u] |= pooled[v]
-        seen[v] |= pooled[u]
-    # per edge, what a pick rules out: the edges at its ends, those at a
-    # vertex it blocks, and those pooling a neighbor of its ends
-    shut = [
-        kill[i] | seen[u] | seen[v]
-        | (around[u] if pooled[u] >> i & 1 else 0)
-        | (around[v] if pooled[v] >> i & 1 else 0)
-        for i, (u, v) in enumerate(pairs)
-    ]
+    # (i)/(ii) allow every edge but one with a single end in S⁺, whose other
+    # end is no support; per vertex, the allowed edges that put it in the
+    # pool of (iii): every edge at an S⁻ vertex, and at a non-support its
+    # edges to non-supports
+    at_sup = single_plus = 0
+    for x in support.sup:
+        at_sup |= incident[x]
+    for x in support.s_plus:
+        single_plus ^= incident[x]
+    pooled = [edges & ~at_sup for edges in incident]
+    for x in support.s_minus:
+        pooled[x] = incident[x]
 
     nodes = 0
     pinned = None
-    picked: list[Edge] = []
+    picked: list[tuple[int, int]] = []
     for component in connected_components(g):
-        vertices, own = sorted(component), 0
-        for v in vertices:
+        own = 0
+        for v in component:
             own |= incident[v]
-        part = SupportClassification(*(side & component for side in support))
         # (undominated edges, live edges, picks so far); a live edge is
         # allowed, touches no matched or blocked vertex and pools no
-        # neighbor of a matched vertex, as ``shut`` rules out per pick
-        stack = [(own, allowed & own, ())]
+        # neighbor of a matched vertex
+        stack = [(own, own & ~single_plus, ())]
         while stack:
             undominated, live, chosen = stack.pop()
             nodes += 1
             if nodes > budget:
                 raise ResourceLimitError(f"certificate search exceeded {budget} nodes")
             if not undominated:
+                # maximal and (i)-(iii) by construction: (iv) alone is left,
+                # over the picks' ends that ``pooled`` puts in the pool
                 if pinned is None:
                     pinned = _pinned_pairs(adjacency, g.vertices())
-                matching = Matching(pairs[i] for i in chosen)
-                violations = _certificate_violations(adjacency, vertices, part, pinned, matching)
-                if next(violations, None) is None:
-                    picked += matching
+                partner = {}
+                for i in chosen:
+                    u, v = pairs[i]
+                    partner[u], partner[v] = v, u
+                pool = sorted(x for i in chosen for x in pairs[i] if pooled[x] >> i & 1)
+                if next(_unwitnessed_pairs(adjacency, pinned, partner, pool), None) is None:
+                    picked += (pairs[i] for i in chosen)
                     break
                 continue
             fewest = len(pairs) + 1
@@ -403,7 +398,16 @@ def find_certifying_matching(
                 low = best & -best
                 best ^= low
                 i = low.bit_length() - 1
-                children.append((undominated & ~kill[i], live & ~shut[i], chosen + (i,)))
+                # the pick rules out the edges at its ends and, per end x:
+                # if it puts x in the pool, every edge at a neighbor of x,
+                # which (iii) keeps unmatched; else every edge that would
+                # pool a neighbor of x, which would see x matched
+                out = kill[i]
+                for x in pairs[i]:
+                    masks = incident if pooled[x] >> i & 1 else pooled
+                    for y in adjacency[x]:
+                        out |= masks[y]
+                children.append((undominated & ~kill[i], live & ~out, chosen + (i,)))
                 live ^= low
             stack += reversed(children)
         else:

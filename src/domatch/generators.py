@@ -4,7 +4,8 @@ Deterministic builders for the named fixture families (spiders, subdivided
 grids, triangle books, cycles, paths, the high-minimum-degree extremal
 graphs) and the recipe-driven family of matching-certified graphs, with a
 seeded random sampler over recipes.  Every generator labels its vertices so
-emitted edge lists read like the construction.
+emitted edge lists read like the construction, and refuses a size above its
+vertex limit before it allocates anything.
 """
 
 from __future__ import annotations
@@ -18,6 +19,19 @@ from typing import NamedTuple
 from .errors import DomainError, ResourceLimitError
 from .graph import Graph
 from .oracles import Matching
+
+#: Vertex ceiling of the named-family builders, checked before anything is
+#: allocated.
+MAX_FAMILY_VERTICES = 100_000
+
+
+def _family_size(vertex_count: int) -> int:
+    """``vertex_count``, refused above :data:`MAX_FAMILY_VERTICES`."""
+    if vertex_count > MAX_FAMILY_VERTICES:
+        raise ResourceLimitError(
+            f"{vertex_count} vertices exceeds the generator limit of {MAX_FAMILY_VERTICES}"
+        )
+    return vertex_count
 
 
 def _finish(vertex_count: int, pairs: Iterable[tuple[int, int]], labels: list[str]) -> Graph:
@@ -38,13 +52,14 @@ def spider(n: int) -> Graph:
     """
     if n < 1:
         raise DomainError("spider needs at least one leg")
+    count = _family_size(3 * n + 1)
     labels = ["c"]
     edges: list[tuple[int, int]] = []
     for i in range(n):
         x, y, z = 3 * i + 1, 3 * i + 2, 3 * i + 3
         labels += [f"x{i + 1}", f"y{i + 1}", f"z{i + 1}"]
         edges += [(0, x), (x, y), (y, z)]
-    return _finish(3 * n + 1, edges, labels)
+    return _finish(count, edges, labels)
 
 
 def subdivided_grid(n: int) -> Graph:
@@ -56,6 +71,7 @@ def subdivided_grid(n: int) -> Graph:
     """
     if n < 1:
         raise DomainError("subdivided grid needs at least one column")
+    count = _family_size(4 * n + 2)
     top = list(range(n + 1))
     bottom = [n + 1 + i for i in range(n + 1)]
     mid_top = [2 * n + 2 + i for i in range(n)]
@@ -70,24 +86,26 @@ def subdivided_grid(n: int) -> Graph:
     for i in range(n):
         edges += [(top[i], mid_top[i]), (mid_top[i], top[i + 1])]
         edges += [(bottom[i], mid_bottom[i]), (mid_bottom[i], bottom[i + 1])]
-    return _finish(4 * n + 2, edges, labels)
+    return _finish(count, edges, labels)
 
 
 def triangle_book(n: int) -> Graph:
     """``n`` triangles sharing one common edge ``uv``."""
     if n < 1:
         raise DomainError("triangle book needs at least one page")
+    count = _family_size(n + 2)
     labels = ["u", "v"] + [f"w{i + 1}" for i in range(n)]
     edges = [(0, 1)]
     for i in range(n):
         edges += [(0, 2 + i), (1, 2 + i)]
-    return _finish(n + 2, edges, labels)
+    return _finish(count, edges, labels)
 
 
 def cycle(n: int) -> Graph:
     """Cycle on ``n`` ≥ 3 vertices."""
     if n < 3:
         raise DomainError("cycle needs at least three vertices")
+    _family_size(n)
     labels = [f"v{i}" for i in range(n)]
     return _finish(n, [(i, (i + 1) % n) for i in range(n)], labels)
 
@@ -96,6 +114,7 @@ def path(n: int) -> Graph:
     """Path on ``n`` ≥ 2 vertices."""
     if n < 2:
         raise DomainError("path needs at least two vertices")
+    _family_size(n)
     labels = [f"v{i}" for i in range(n)]
     return _finish(n, [(i, i + 1) for i in range(n - 1)], labels)
 

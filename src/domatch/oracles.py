@@ -459,14 +459,15 @@ def _total_domination_search(
 
 def _edge_masks(
     adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
-) -> tuple[list[tuple[int, int]], dict[int, int], list[int]]:
+) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """The edge index of sorted ``vertices``, a union of components: its
     sorted edges as plain ``(u, v)`` id pairs, edge bit i for the i-th, a
-    dict from each vertex id to the mask of its edges, and each edge's kill
-    set, the edges sharing an end with it (itself included).  Both the μ*
-    search and the certificate search read their edges off it."""
+    list indexed by vertex id of the mask of each vertex's edges (0 off
+    ``vertices``), and each edge's kill set, the edges sharing an end with
+    it (itself included).  Both the μ* search and the certificate search
+    read their edges off it."""
     pairs = [(u, v) for u in vertices for v in sorted(adjacency[u]) if v > u]
-    incident = dict.fromkeys(vertices, 0)
+    incident = [0] * len(adjacency)
     for i, (u, v) in enumerate(pairs):
         incident[u] |= 1 << i
         incident[v] |= 1 << i

@@ -25,6 +25,7 @@ from domatch import (
     total_dominating_set_from_matching,
     total_domination_number,
 )
+from domatch import characterization
 from domatch.generators import (
     TightGraphParams,
     cycle,
@@ -318,6 +319,47 @@ def test_find_equals_walk_over_minimum_maximal_matchings():
             assert found.partition == partition_matching(g, expected)
             assert found.report == check_certificate_conditions(g, expected)
     assert (len(graphs), hits) == (9350, 178)
+
+
+def test_search_leaves_can_fail_condition_iv_alone(monkeypatch):
+    # A leaf of the search is maximal, as it dominates every edge, and
+    # meets (i)-(iii), as it picks only edges that (i)/(ii) allow and rules
+    # out what (iii) forbids, so the search checks (iv) alone there.  The
+    # full stream on every leaf it reaches, over every connected graph of
+    # at most 7 vertices with minimum degree one or two, names nothing else.
+    check_iv = characterization._unwitnessed_pairs
+    leaves = []
+
+    def recording(adjacency, pinned, partner, pool, witness_id="iv"):
+        leaves.append(dict(partner))
+        return check_iv(adjacency, pinned, partner, pool, witness_id)
+
+    graphs = [g for n in range(2, 8) for g in connected_catalog(n) if min_degree(g) in (1, 2)]
+    runs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(characterization, "_unwitnessed_pairs", recording)
+        for g in graphs:
+            start = len(leaves)
+            runs.append((g, find_certifying_matching(g), leaves[start:]))
+    failing_iv = 0
+    for g, found, reached in runs:
+        adjacency, vertices = g._adjacency, g.vertices()
+        support = support_classification(g)
+        pinned = characterization._pinned_pairs(adjacency, vertices)
+        for partner in reached:
+            m = Matching((u, v) for u, v in partner.items() if u < v)
+            named = {
+                v.condition
+                for v in characterization._certificate_violations(
+                    adjacency, vertices, support, pinned, m
+                )
+            }
+            assert named <= {"iv"}
+            failing_iv += bool(named)
+        if found is not None:
+            assert check_certificate_conditions(g, found.matching).holds
+            assert dict(found.matching._partner) == reached[-1]
+    assert (len(graphs), sum(len(r) for _, _, r in runs), failing_iv) == (822, 212, 161)
 
 
 def test_find_agrees_with_oracle_on_small_catalog():

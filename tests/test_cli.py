@@ -356,6 +356,14 @@ def test_generate_rejects_misuse(capsys):
     assert main(["generate", "nosuch", "1"]) == 2
 
 
+def test_generate_refuses_past_the_vertex_limit(capsys):
+    assert main(["generate", "cycle", "100000000"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: 100000000 vertices exceeds the generator limit of 100000\n",
+    )
+
+
 #: sha256 of ``generate`` stdout for one parameter set per family.
 GENERATE_SHA256 = {
     "spider": (["2"], "19e0bd08a7d0ca50460f8c0f5e321c9f58c144a11d57c5a01e908c4a6c78162e"),

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -27,6 +28,7 @@ from domatch import (
     total_domination_number,
 )
 from domatch.generators import (
+    MAX_FAMILY_VERTICES,
     cycle,
     high_degree_extremal,
     path,
@@ -118,6 +120,49 @@ def test_high_degree_extremal_meets_bound():
     assert report.holds and report.slack == 0
     assert total_domination_number(g).value == 3
     assert minimum_maximal_matching(g).value == 2
+
+
+@pytest.mark.parametrize(
+    "build, count",
+    [
+        (cycle, 10**8),
+        (path, 10**8),
+        (spider, 3 * 10**8 + 1),
+        (subdivided_grid, 4 * 10**8 + 2),
+        (triangle_book, 10**8 + 2),
+    ],
+)
+def test_named_families_refuse_past_the_vertex_limit(build, count):
+    # the vertex count is computed from the parameter and checked before
+    # any label or edge is allocated, so 10**8 costs next to no memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ResourceLimitError,
+            match=f"^{count} vertices exceeds the generator limit of {MAX_FAMILY_VERTICES}$",
+        ):
+            build(10**8)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_family_vertex_limit_is_read_at_call_time_and_inclusive(monkeypatch):
+    assert MAX_FAMILY_VERTICES == 100_000
+    monkeypatch.setattr("domatch.generators.MAX_FAMILY_VERTICES", 10)
+    # (builder, parameter for exactly 10 vertices, the next one, its count)
+    for build, fits, over, count in [
+        (cycle, 10, 11, 11),
+        (path, 10, 11, 11),
+        (spider, 3, 4, 13),
+        (subdivided_grid, 2, 3, 14),
+        (triangle_book, 8, 9, 11),
+    ]:
+        assert build(fits).vertex_count == 10
+        with pytest.raises(
+            ResourceLimitError, match=f"^{count} vertices exceeds the generator limit of 10$"
+        ):
+            build(over)
 
 
 def test_high_degree_extremal_rejects_bad_parameters(monkeypatch):
