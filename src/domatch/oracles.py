@@ -24,9 +24,11 @@ its bound: one pass over what is still undominated that counts a greedy
 packing (the domination solver tries an O(1) count bound first) and finds
 the element with the fewest settlers still allowed.  The pass visits
 elements in an order fixed once per component, fewest possible settlers
-first (degree for γ_t, kill-set size for μ*) and ties by index, so the
-packing meets its tightest elements first; an element with no allowed
-settler cuts the branch.  The packed elements' allowed settlers are
+first (degree for γ_t, kill-set size for μ*) and ties by index; an
+element with no allowed settler cuts the branch.  γ_t packs in that
+order.  μ* packs the undominated edges by their allowed killers, fewest
+first and ties in the fixed order, so the packing meets the edges the
+branch has made tightest first.  The packed elements' allowed settlers are
 pairwise disjoint, so a pick settles at most one of them; when the packing
 fills every free slot, each pick of a cover settles a different one, and
 the pass also returns the union of their settlers, within which every pick
@@ -459,15 +461,18 @@ def _total_domination_search(
 
 def _edge_masks(
     adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+) -> tuple[list[tuple[int, int]], list[int] | dict[int, int], list[int]]:
     """The edge index of sorted ``vertices``, a union of components: its
-    sorted edges as plain ``(u, v)`` id pairs, edge bit i for the i-th, a
-    list indexed by vertex id of the mask of each vertex's edges (0 off
-    ``vertices``), and each edge's kill set, the edges sharing an end with
-    it (itself included).  Both the μ* search and the certificate search
-    read their edges off it."""
+    sorted edges as plain ``(u, v)`` id pairs, edge bit i for the i-th, the
+    mask of each vertex's edges keyed by vertex id, and each edge's kill
+    set, the edges sharing an end with it (itself included).  Both the μ*
+    search and the certificate search read their edges off it.  The masks
+    are a list indexed by id when ``vertices`` is the whole graph, as for
+    the certificate search, and else a dict over ``vertices``, so the μ*
+    search of each component costs that component's size alone."""
     pairs = [(u, v) for u in vertices for v in sorted(adjacency[u]) if v > u]
-    incident = [0] * len(adjacency)
+    whole = len(vertices) == len(adjacency)
+    incident = [0] * len(adjacency) if whole else dict.fromkeys(vertices, 0)
     for i, (u, v) in enumerate(pairs):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
@@ -488,45 +493,52 @@ def _maximal_matching_search(
     edge with no allowed killer cuts the branch.  A pick settles at most
     two of a set of vertex-disjoint undominated edges, and at most one of a
     set whose kill sets within the allowed edges are pairwise disjoint;
-    both greedy packings take edges with the smallest kill sets first, ties
-    by index, and the larger count is the picks still needed.  An edge
-    shares an end with a packed edge exactly when it lies in that edge's
-    kill set, so the vertex-disjoint packing grows the union of the packed
-    edges' kill sets and takes an edge outside it.
+    the larger of the two greedy packings' counts is the picks still
+    needed.  The vertex-disjoint packing takes edges in a fixed order,
+    smallest kill sets first, ties by index, and cuts the branch as soon as
+    it holds more than two per free slot.  An edge shares an end with a
+    packed edge exactly when it lies in that edge's kill set, so it grows
+    the union of the packed edges' kill sets and takes an edge outside it.
+    The killer packing takes the undominated edges by the number of
+    killers the branch still allows them, fewest first, ties in the fixed
+    order (a stable sort by that count); it meets the edges the branch has
+    tightened first, so it fills the free slots sooner and the union it
+    returns, within which every pick of a cover lies, is narrower.  The
+    first edge of that order names the fewest allowed killers.
     """
     pairs, _, kill = _edge_masks(adjacency, vertices)
-    m = len(kill)
     # (bit, kill set) per edge, fewest killers first, ties by index
-    order = sorted(range(m), key=lambda i: kill[i].bit_count())
+    order = sorted(range(len(kill)), key=lambda i: kill[i].bit_count())
     packing = [(1 << i, kill[i]) for i in order]
 
     def bounds(allowed: int, undominated: int, slots: int) -> tuple[int, int, int]:
         # (picks still needed, fewest allowed killers of an undominated
         # edge, the packed edges' killers if they fill the slots or else all
         # ones), stopping once need > slots
-        disjoint = packed = 0
-        touched = killed = 0
+        disjoint = touched = 0
         limit = 2 * slots
-        fewest = 0
-        choices = m + 1
+        reaches = []
         for bit, killers in packing:
             if undominated & bit:
                 reach = killers & allowed
                 if not reach:
                     return slots + 1, 0, 0
-                if choices > 1 and reach.bit_count() < choices:
-                    fewest = reach
-                    choices = reach.bit_count()
+                reaches.append(reach)
                 if bit & touched == 0:
                     touched |= killers
                     disjoint += 1
                     if disjoint > limit:
-                        break
-                if reach & killed == 0:
-                    killed |= reach
-                    packed += 1
-                    if packed > slots:
-                        break
+                        return slots + 1, 0, 0
+        # fewest allowed killers first, ties in the fixed order
+        reaches.sort(key=int.bit_count)
+        packed = killed = 0
+        for reach in reaches:
+            if reach & killed == 0:
+                killed |= reach
+                packed += 1
+                if packed > slots:
+                    break
+        fewest = reaches[0] if reaches else 0
         return max(packed, -(-disjoint // 2)), fewest, killed if packed == slots else -1
 
     return (pairs, *_deepening_search(kill, 0, bounds))

@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from domatch import Graph, parse_edge_list, serialize_edge_list
 from domatch.cli import _FAMILIES, MAX_VERTICES_ENV, main
@@ -880,3 +886,98 @@ def test_machine_output_golden(tmp_path, capsys, command, graph, matching, flags
         expected = expected.replace("<matching>", argv[-1])
     assert main(argv + ["--machine", *flags]) == code
     assert capsys.readouterr() == (expected, "")
+
+
+# ---------------------------------------------------------------------------
+# drawn command lines
+
+
+_COMMANDS = ("gamma-t", "mu-star", "bounds", "recognize", "verify", "generate")
+_FILES = ("GRAPH", "MATCHING", "MISSING")
+_NUMBER = st.integers(-3, 30).map(str)
+_WORD = st.one_of(
+    _NUMBER,
+    st.sampled_from((*_COMMANDS, *_FAMILIES, *_FILES, "--machine", "--oracle", "--max-vertices")),
+    st.sampled_from(("--seed", "-h", "--", "-", "100000000", "")),
+    st.text(st.characters(blacklist_characters="\x00"), max_size=4),
+)
+_LABEL = st.sampled_from("abcdefgh")
+
+
+def _edge_lines(most):
+    # up to `most` lines of two different labels, or of one to three labels,
+    # after a byte-order mark, a comment or a vertices header, or none
+    head = st.sampled_from(
+        ("", "\ufeff", "# drawn\n", "vertices: a b c d e f g h i\n", "vertices: a a\n")
+    )
+    pair = st.lists(_LABEL, min_size=2, max_size=2, unique=True)
+    lines = st.one_of(
+        st.lists(pair, min_size=1, max_size=most),
+        st.lists(st.lists(_LABEL, min_size=1, max_size=3), max_size=most),
+    )
+    return st.tuples(head, lines).map(
+        lambda parts: (parts[0] + "".join(" ".join(line) + "\n" for line in parts[1])).encode()
+    )
+
+
+def _arguments(command):
+    # the operands and flags of `command`, mostly well formed
+    if command == "generate":
+        operands = st.tuples(
+            st.sampled_from(tuple(_FAMILIES)).map(lambda family: [family]),
+            st.lists(_NUMBER, max_size=2),
+            st.sampled_from(([], [], ["--seed", "1"])),
+        )
+        return operands.map(lambda parts: [word for part in parts for word in part])
+    files = ["GRAPH", "MATCHING"] if command == "verify" else ["GRAPH"]
+    operands = st.sampled_from((files, files, files, files[:1], ["MISSING", *files[1:]], files * 2))
+    groups = [["--machine"]]
+    if command == "recognize":
+        groups.append(["--oracle"])
+    if command != "verify":
+        groups += [["--max-vertices", str(limit)] for limit in (-1, 0, 3, 24, 30)]
+    flags = st.lists(st.sampled_from(groups), max_size=2)
+    return st.tuples(operands, flags).map(
+        lambda parts: parts[0] + [word for group in parts[1] for word in group]
+    )
+
+
+_COMMAND_LINE = st.sampled_from(_COMMANDS).flatmap(
+    lambda command: _arguments(command).map(lambda rest: [command, *rest])
+)
+
+
+@settings(max_examples=200)
+@given(
+    # a command and its arguments twice as often as any words
+    argv=st.one_of(_COMMAND_LINE, _COMMAND_LINE, st.lists(_WORD, max_size=6)),
+    graph=st.one_of(st.binary(max_size=40), _edge_lines(12)),
+    # a matching file: raw bytes, label lines, or the graph file's first lines
+    matching=st.one_of(st.binary(max_size=10), _edge_lines(4), st.integers(1, 4)),
+)
+def test_main_exits_0_1_or_2_on_drawn_command_lines(tmp_path_factory, argv, graph, matching):
+    # In process, so no child is started (Popen is made to fail): whatever
+    # the command line and the files' bytes, main returns 0, 1 or 2 and
+    # raises nothing, and exit 2 writes exactly one error line.
+    folder = tmp_path_factory.getbasetemp()
+    paths = {"GRAPH": folder / "drawn.txt", "MATCHING": folder / "drawn.match"}
+    paths["GRAPH"].write_bytes(graph)
+    if isinstance(matching, int):
+        matching = b"".join(graph.splitlines(keepends=True)[:matching])
+    paths["MATCHING"].write_bytes(matching)
+    paths["MISSING"] = folder / "missing.txt"
+    argv = [str(paths[word]) if word in paths else word for word in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), mock.patch.object(
+        subprocess, "Popen", side_effect=AssertionError("a process was started")
+    ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop(MAX_VERTICES_ENV, None)
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert sum("error:" in line for line in lines) == 1, lines
+        assert out.getvalue() == ""
+    else:
+        assert lines == []

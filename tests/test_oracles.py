@@ -27,7 +27,7 @@ from domatch import (
     total_domination_number,
 )
 from domatch.generators import cycle, high_degree_extremal, path, spider, subdivided_grid, triangle_book
-from domatch.oracles import DEFAULT_MAX_VERTICES, _optima
+from domatch.oracles import DEFAULT_MAX_VERTICES, _edge_masks, _optima
 
 import helpers
 from catalogs import connected_catalog
@@ -242,9 +242,10 @@ def test_solver_node_ceilings():
     # refutation table) and subdivided_grid(12) 1,440 (2,244 with no table,
     # 1,490 when a tight packing does not confine the proof's picks to its
     # settlers); one search over both classes at once takes 1,806 and
-    # 173,493.  sparse_graph(5, 28, 0, 3) has μ* = 9 and takes 987 nodes
-    # (1,304 without the tight-packing rule, 1,202 with no table), and 6,119
-    # in lexicographic order, 5,684 of them proving size 8 empty.
+    # 173,493.  sparse_graph(5, 28, 0, 3) has μ* = 9 and takes 528 nodes
+    # (1,172 without the tight-packing rule, 572 with no table, 987 when the
+    # killer packing keeps the fixed order), and 6,119 in lexicographic
+    # order, 5,684 of them proving size 8 empty.
     assert total_domination_number(spider(10), max_vertices=64).stats.nodes <= 100
     assert total_domination_number(subdivided_grid(7), max_vertices=64).stats.nodes <= 180
     grid = total_domination_number(subdivided_grid(12), max_vertices=50)
@@ -265,21 +266,23 @@ def test_solver_node_ceilings():
 def test_solver_node_totals_on_the_small_catalog():
     # Deterministic counters over the 995 connected graphs on 2..7 vertices.
     # Dropping either solver's packing bound makes its total grow, and so
-    # does packing in index order (6,532 and 13,913), keeping no refutation
-    # table (6,268 and 13,922) or letting the proof pick outside a tight
-    # packing's settlers (6,422 and 13,978).  On graphs this small the optimum
-    # is mostly the first size tried, where the proof reaches a solution and
-    # the ordered walk proves the smaller picks at each level empty to reach
-    # the least one.  A bipartite graph's γ_t is two searches, one per colour
-    # class, each proving its own first size: 6,226 nodes in all when both
-    # classes share one search.
+    # does packing in index order (6,532 and 13,682), keeping no refutation
+    # table (6,268 and 14,153) or letting the proof pick outside a tight
+    # packing's settlers (6,422 and 13,885).  μ* took 13,003 when its killer
+    # packing kept the fixed order instead of fewest allowed killers first.
+    # On graphs this small the optimum is mostly the first size tried, where
+    # the proof reaches a solution and the ordered walk proves the smaller
+    # picks at each level empty to reach the least one.  A bipartite graph's
+    # γ_t is two searches, one per colour class, each proving its own first
+    # size: 6,226 nodes in all when both classes share one search.
     # The bound checks stop at the first size whose root proof finds a
-    # cover and walk to no witness: 3,671 and 9,270 nodes (3,603 for γ_t
-    # with one search per bipartite graph).
+    # cover and walk to no witness: 3,671 and 9,369 nodes (3,603 for γ_t
+    # with one search per bipartite graph, 9,270 for μ* with the killer
+    # packing in the fixed order).
     graphs = [g for n in range(2, 8) for g in connected_catalog(n)]
     assert len(graphs) == 995
     assert sum(total_domination_number(g).stats.nodes for g in graphs) == 6_249
-    assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 13_003
+    assert sum(minimum_maximal_matching(g).stats.nodes for g in graphs) == 13_182
     optimum_nodes = [0, 0]
     for g in graphs:
         (gamma_t, gamma_t_nodes), (mu_star, mu_star_nodes) = _optima(g, None)
@@ -290,7 +293,7 @@ def test_solver_node_totals_on_the_small_catalog():
         assert is_tight_graph(g) == (gamma_t == 2 * mu_star)
         optimum_nodes[0] += gamma_t_nodes
         optimum_nodes[1] += mu_star_nodes
-    assert optimum_nodes == [3_671, 9_270]
+    assert optimum_nodes == [3_671, 9_369]
 
 
 def test_solver_witnesses_and_nodes_at_bench_scale():
@@ -298,10 +301,11 @@ def test_solver_witnesses_and_nodes_at_bench_scale():
     # 30, as in the exact-solve benchmark.  The digests pin every value and
     # lexicographically least witness, so a prune that cuts a solution, or
     # changes which optimum comes first, fails here; the node totals are
-    # deterministic counters of the same searches: 1,314 and 5,660 when a
-    # tight packing does not confine the proof's picks to its settlers.  The
-    # bound checks must give the same values from the root proofs alone,
-    # which take 506 and 2,059 nodes.
+    # deterministic counters of the same searches: 1,314 and 4,926 when a
+    # tight packing does not confine the proof's picks to its settlers, and
+    # 3,725 for μ* when its killer packing keeps the fixed order.  The bound
+    # checks must give the same values from the root proofs alone, which
+    # take 506 and 1,293 nodes (2,059 for μ* in the fixed order).
     lines = {"gamma_t": [], "mu_star": []}
     nodes = {"gamma_t": 0, "mu_star": 0}
     optimum_nodes = {"gamma_t": 0, "mu_star": 0}
@@ -329,8 +333,38 @@ def test_solver_witnesses_and_nodes_at_bench_scale():
         "mu_star": "763d6a9e4d2a43ae0eafc8099d731e7508e549b96589383dcb5cf359c02b0476",
     }
     assert degrees == {1, 2, 3}
-    assert nodes == {"gamma_t": 909, "mu_star": 3_725}
-    assert optimum_nodes == {"gamma_t": 506, "mu_star": 2_059}
+    assert nodes == {"gamma_t": 909, "mu_star": 2_327}
+    assert optimum_nodes == {"gamma_t": 506, "mu_star": 1_293}
+
+
+def test_mu_star_root_proofs_on_sixty_vertex_random_graphs():
+    # Five random trees on 60 vertices with 30 chords each.  μ* lies above
+    # the root packing bound, so phase 1 mostly refutes μ* − 1; the killer
+    # packing takes the edges with the fewest allowed killers first, which
+    # tightens each refutation: 12,361 nodes in all, against 24,438 (524,
+    # 123, 16,982, 6,621 and 188) when it kept the fixed order.
+    optima = [
+        _optima(helpers.random_connected_graph(random.Random(seed), 60, 30), 60)
+        for seed in range(5)
+    ]
+    assert [gamma_t for (gamma_t, _), _ in optima] == [22, 22, 20, 24, 21]
+    assert [mu_star for _, (mu_star, _) in optima] == [16, 16, 17, 17, 16]
+    assert [nodes for _, (_, nodes) in optima] == [330, 44, 9_445, 2_395, 147]
+
+
+def test_mu_star_edge_index_is_sized_by_the_component():
+    # The μ* search indexes one component at a time, so its per-vertex edge
+    # masks cover that component alone; the certificate search indexes the
+    # whole graph and gets a list by vertex id.
+    g = helpers.disjoint_union(cycle(4), path(3))
+    pairs, incident, kill = _edge_masks(g._adjacency, [4, 5, 6])
+    assert pairs == [(4, 5), (5, 6)]
+    assert incident == {4: 0b01, 5: 0b11, 6: 0b10}
+    assert kill == [0b11, 0b11]
+    pairs, incident, kill = _edge_masks(g._adjacency, g.vertices())
+    assert len(pairs) == 6 and isinstance(incident, list) and len(incident) == 7
+    assert incident[4:] == [0b010000, 0b110000, 0b100000]
+    assert kill[4:] == [0b110000, 0b110000]
 
 
 def test_solver_search_depth_is_not_bounded_by_recursion():
@@ -341,7 +375,8 @@ def test_solver_search_depth_is_not_bounded_by_recursion():
     # frames above the caller, a search that recursed per level would raise
     # RecursionError.  The proof keeps its picks within a tight packing's
     # settlers; without that rule the counts are 599 and 899.  One search
-    # over both classes takes 600 nodes for γ_t.
+    # over both classes takes 600 nodes for γ_t, and μ* takes 500 when its
+    # killer packing keeps the fixed order.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
@@ -349,7 +384,7 @@ def test_solver_search_depth_is_not_bounded_by_recursion():
         gamma_t = total_domination_number(path(600), max_vertices=600)
     finally:
         sys.setrecursionlimit(limit)
-    assert (mu_star.value, mu_star.stats.nodes) == (200, 500)
+    assert (mu_star.value, mu_star.stats.nodes) == (200, 401)
     assert (gamma_t.value, gamma_t.stats.nodes) == (300, 749)
     assert is_maximal_matching(cycle(600), mu_star.witness.edges)
     assert is_total_dominating(path(600), gamma_t.witness)
