@@ -19,15 +19,16 @@ forces γ_t = 2|M| ≤ 2μ* ≤ 2|M|, so every certificate of a graph has the
 same size and the search never computes μ*.  It reads its edges off the
 edge index of μ*'s search, built once over the whole graph, and runs once
 per connected component, a connected graph included, with that
-component's supports and edges, over all sizes; conditions (i)–(iii)
+component's supports and edges, over all sizes; all four conditions
 decide while it picks which edges may be taken and which vertices must
 stay unmatched.  Each node branches on the undominated edge with the
 fewest live killers, the "fewest rows first" rule of Knuth's Dancing
-Links, so the cost follows the graph, not the order of its ids.  A leaf
-is maximal, as it dominates every edge, and meets (i)–(iii) by
-construction, as it picks only edges (i)/(ii) allow and each pick rules
-out what (iii) forbids; so a leaf is checked for (iv) alone, by the helper
-the stream reads (iv) from.
+Links, which also removes at each pick the rows that conflict with it,
+so the cost follows the graph, not the order of its ids.  A conflict
+under (iii) or (iv) involves one pick or two and is symmetric, so ruling
+it out at the root or at the earlier pick covers every pair: every leaf
+is maximal, as it dominates every edge, and a certificate, and the
+search checks nothing there.
 """
 
 from __future__ import annotations
@@ -152,12 +153,15 @@ def _certificate_violations(
     from one scan of ``S⁺``: its vertices matched outside the support, and
     their edges.  Last, under ``local_ids``, the local conditions over the
     sorted pool ``S⁻ ∪ V(M*)``, which is ``V(M)`` without supports: each
-    pool vertex sees exactly one matched vertex, its partner; then, from
-    :func:`_unwitnessed_pairs`, pool vertices sharing a neighbor whose
-    partners no vertex has as its whole neighborhood (see
-    :func:`_pinned_pairs`).  Each condition's message is one fixed text:
-    the ids it concerns are in the violation's ``vertices`` and ``edges``,
-    so a caller shows them in its own labels.
+    pool vertex sees exactly one matched vertex, its partner; then, in
+    sorted (u, v) order, pool vertices u, v sharing a neighbor need some
+    vertex with neighborhood exactly {p(u), p(v)}, looked up in ``pinned``
+    (see :func:`_pinned_pairs`).  Such pairs are found by walking the
+    pool's neighbors, so no pair without a common neighbor is looked at.
+    Each condition's message is one fixed text: the ids it concerns are in
+    the violation's ``vertices`` and ``edges``, so a caller shows them in
+    its own labels.  :func:`find_certifying_matching` does not read this
+    stream; it rules out, pick by pick, what the stream would name.
     """
     covered = m.covered
     extending = _extending_edge(adjacency, vertices, covered)
@@ -197,18 +201,6 @@ def _certificate_violations(
                 " vertices; it sees the rest",
             )
 
-    yield from _unwitnessed_pairs(adjacency, pinned, partner, pool, witness_id)
-
-
-def _unwitnessed_pairs(
-    adjacency: Sequence[frozenset[int]], pinned: Mapping[int, set[int]],
-    partner: Mapping[int, int], pool: Sequence[int], witness_id: str = "iv",
-) -> Iterator[Violation]:
-    """Violations of (iv) over the sorted ``pool``, in sorted (u, v) order:
-    pool vertices u < v that share a neighbor while no vertex has
-    neighborhood exactly {p(u), p(v)}, looked up in ``pinned``.  Such pairs
-    are found by walking the pool's neighbors, so no pair without a common
-    neighbor is looked at."""
     in_pool = frozenset(pool)
     for u in pool:
         witnessed = pinned.get(partner[u], ())
@@ -309,6 +301,12 @@ def find_certifying_matching(
       matched, its other neighbors must stay unmatched ("blocked"), so
       after a pick no edge touching a blocked vertex is live, and neither
       is one whose ``S⁻`` or no-support ends see a matched vertex;
+    - (iv): once such a vertex x is matched to p, an edge that would put
+      in the pool a vertex z ≠ x sharing a neighbor with x is live only
+      if some vertex has neighborhood exactly {p, q}, where q is the
+      edge's other end, z's partner; and a no-support edge whose ends
+      share a neighbor is never picked unless some vertex has
+      neighborhood exactly its ends;
     - every undominated edge needs a live killer, an allowed edge at one
       of its ends that no pick has ruled out.  Each node branches on the
       undominated edge with the fewest live killers, the first in index
@@ -317,13 +315,11 @@ def find_certifying_matching(
       killer leaves the live edges of its later siblings, so every
       maximal matching is reached at most once.
 
-    A leaf, where no edge is left undominated, needs only (iv): it is
-    maximal, as it dominates every edge; (i)/(ii) hold, as only allowed
-    edges are picked; and (iii) holds, as each pick rules out what (iii)
-    forbids.  So a leaf reads its partners off the picks, and its pool,
-    the picks' ends that ``S⁻`` or a no-support edge puts there, off the
-    per-vertex pool masks, and the first leaf without an (iv) violation
-    is the component's certificate.  The result is deterministic, but
+    Each of these rule-outs concerns two picks, or one, and holds either
+    way round, so no two picks of a branch break a condition.  A leaf,
+    where no edge is left undominated, is then maximal, as it dominates
+    every edge, and meets all four conditions, so the first leaf is the
+    component's certificate.  The result is deterministic, but
     which certificate it is, when a graph has several, is not promised:
     the tests check that it is the first minimum maximal matching meeting
     the conditions in lexicographic order of sorted edge-index tuples
@@ -337,51 +333,44 @@ def find_certifying_matching(
     _require_low_degree(g)
     adjacency = g._adjacency
     support = support_classification(g)
+    pinned = _pinned_pairs(adjacency, g.vertices())
     # the whole graph's edge index, edge bit i for the i-th sorted pair
     pairs, incident, kill = _edge_masks(adjacency, g.vertices())
-    # (i)/(ii) allow every edge but one with a single end in S⁺, whose other
-    # end is no support; per vertex, the allowed edges that put it in the
-    # pool of (iii): every edge at an S⁻ vertex, and at a non-support its
-    # edges to non-supports
-    at_sup = single_plus = 0
+    # per vertex, the edges that put it in the pool of (iii)/(iv): every
+    # edge at an S⁻ vertex, and at a non-support its edges to non-supports
+    at_sup = barred = 0
     for x in support.sup:
         at_sup |= incident[x]
-    for x in support.s_plus:
-        single_plus ^= incident[x]
     pooled = [edges & ~at_sup for edges in incident]
     for x in support.s_minus:
         pooled[x] = incident[x]
+    # never picked: by (i)/(ii) an edge with a single end in S⁺, whose other
+    # end is no support, and by (iv) a no-support edge whose ends share a
+    # neighbor while no vertex has neighborhood exactly its ends
+    for x in support.s_plus:
+        barred ^= incident[x]
+    for i, (u, v) in enumerate(pairs):
+        if not at_sup >> i & 1 and adjacency[u] & adjacency[v] and v not in pinned.get(u, ()):
+            barred |= 1 << i
 
     nodes = 0
-    pinned = None
     picked: list[tuple[int, int]] = []
     for component in connected_components(g):
         own = 0
         for v in component:
             own |= incident[v]
-        # (undominated edges, live edges, picks so far); a live edge is
-        # allowed, touches no matched or blocked vertex and pools no
-        # neighbor of a matched vertex
-        stack = [(own, own & ~single_plus, ())]
+        # (undominated edges, live edges, picks so far); a live edge is not
+        # barred, touches no matched or blocked vertex and conflicts with no
+        # pick under (iii) or (iv)
+        stack = [(own, own & ~barred, ())]
         while stack:
             undominated, live, chosen = stack.pop()
             nodes += 1
             if nodes > budget:
                 raise ResourceLimitError(f"certificate search exceeded {budget} nodes")
             if not undominated:
-                # maximal and (i)-(iii) by construction: (iv) alone is left,
-                # over the picks' ends that ``pooled`` puts in the pool
-                if pinned is None:
-                    pinned = _pinned_pairs(adjacency, g.vertices())
-                partner = {}
-                for i in chosen:
-                    u, v = pairs[i]
-                    partner[u], partner[v] = v, u
-                pool = sorted(x for i in chosen for x in pairs[i] if pooled[x] >> i & 1)
-                if next(_unwitnessed_pairs(adjacency, pinned, partner, pool), None) is None:
-                    picked += (pairs[i] for i in chosen)
-                    break
-                continue
+                picked += (pairs[i] for i in chosen)
+                break
             fewest = len(pairs) + 1
             rest = undominated
             while rest:
@@ -393,23 +382,34 @@ def find_certifying_matching(
                     best, fewest = killers, count
                     if count < 2:
                         break
-            children = []
+            # the killers from the highest index down, so the lowest is
+            # tried first; each child leaves out the killers below its own
             while best:
-                low = best & -best
-                best ^= low
-                i = low.bit_length() - 1
-                # the pick rules out the edges at its ends and, per end x:
-                # if it puts x in the pool, every edge at a neighbor of x,
-                # which (iii) keeps unmatched; else every edge that would
-                # pool a neighbor of x, which would see x matched
+                i = best.bit_length() - 1
+                best ^= 1 << i
+                # the pick rules out the edges at its ends and, per end x
+                # with partner p: if it puts x in the pool, every edge at a
+                # neighbor of x, which (iii) keeps unmatched, and every edge
+                # that would pool a vertex z sharing a neighbor with x, but
+                # for those whose other end ``pinned`` pairs with p, as (iv)
+                # asks; else every edge that would pool a neighbor of x,
+                # which would see x matched
                 out = kill[i]
-                for x in pairs[i]:
-                    masks = incident if pooled[x] >> i & 1 else pooled
-                    for y in adjacency[x]:
-                        out |= masks[y]
-                children.append((undominated & ~kill[i], live & ~out, chosen + (i,)))
-                live ^= low
-            stack += reversed(children)
+                u, v = pairs[i]
+                for x, p in (u, v), (v, u):
+                    if pooled[x] >> i & 1:
+                        witnessed = pinned.get(p, frozenset())
+                        for y in adjacency[x]:
+                            out |= incident[y]
+                            for z in adjacency[y]:
+                                near = pooled[z]
+                                for q in adjacency[z] & witnessed:
+                                    near &= ~incident[q]
+                                out |= near
+                    else:
+                        for y in adjacency[x]:
+                            out |= pooled[y]
+                stack.append((undominated & ~kill[i], live & ~out & ~best, chosen + (i,)))
         else:
             return None
     matching = Matching(picked)

@@ -79,6 +79,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except UnicodeDecodeError as error:
         raise EdgeListFormatError(f"{path} is not UTF-8 text: {error}") from None
+    except ValueError as error:  # a NUL character, which no file name holds
+        raise DomainError(f"{path!r} is not a file name: {error}") from None
 
 
 def _load_matching_edges(g: Graph, path: str) -> list[Edge]:
