@@ -272,8 +272,13 @@ def support_classification(g: Graph) -> SupportClassification:
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, ordered by smallest id.  Each
-    grows over a list read as it grows, by one set difference per vertex."""
+    """Vertex sets of the connected components, ordered by smallest id.
+
+    Each grows over a list read as it grows.  A vertex whose neighbours are
+    all in the component already costs one subset test; any other adds its
+    new neighbours by one set difference.  The walk over start vertices
+    stops once every vertex is placed.
+    """
     adjacency = g._adjacency
     seen: set[int] = set()
     components: list[frozenset[int]] = []
@@ -282,11 +287,15 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
             continue
         group, queue = {start}, [start]
         for x in queue:
+            if adjacency[x] <= group:
+                continue
             fresh = adjacency[x] - group
             group |= fresh
             queue += fresh
         seen |= group
         components.append(frozenset(group))
+        if len(seen) == len(adjacency):
+            break
     return components
 
 

@@ -468,6 +468,34 @@ def test_components_of_fixed_graphs(build, count):
     check_components(g, comps)
 
 
+def test_components_settle_placed_vertices_without_set_differences():
+    # A book's spine reaches every page at once: each page then costs a
+    # subset test, not a set difference, and no start vertex is drawn once
+    # the one component is complete.
+    differences, drawn = [], []
+
+    class CountingSet(frozenset):
+        def __sub__(self, other):
+            differences.append(1)
+            return super().__sub__(other)
+
+    class CountingGraph(Graph):
+        __slots__ = ()
+
+        def vertices(self):
+            for v in super().vertices():
+                drawn.append(v)
+                yield v
+
+    book = triangle_book(1000)
+    g = CountingGraph(book.vertex_count, book.edges())
+    g._adjacency = tuple(map(CountingSet, book._adjacency))
+    comps = connected_components(g)
+    assert len(differences) <= 2  # 1002 with one difference per vertex
+    assert drawn == [0]
+    check_components(g, comps)
+
+
 # ---------------------------------------------------------------------------
 # girth
 
