@@ -33,7 +33,7 @@ search checks nothing there.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .graph import (
@@ -115,7 +115,7 @@ def _partition(m: Matching, support: SupportClassification) -> MatchingPartition
 
 
 def _pinned_pairs(
-    adjacency: Sequence[frozenset[int]], vertices: Iterable[int]
+    adjacency: Sequence[AbstractSet[int]], vertices: Iterable[int]
 ) -> dict[int, set[int]]:
     """For each vertex a, the vertices b such that some degree-two vertex
     among ``vertices`` has neighborhood exactly {a, b}."""
@@ -137,7 +137,7 @@ def _report(ids: Sequence[str], violations: Iterable[Violation]) -> ConditionRep
 
 
 def _certificate_violations(
-    adjacency: Sequence[frozenset[int]],
+    adjacency: Sequence[AbstractSet[int]],
     vertices: Sequence[int],
     support: SupportClassification,
     pinned: Mapping[int, set[int]],

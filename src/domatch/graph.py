@@ -4,10 +4,13 @@ support classification.
 
 Vertices are dense integer ids ``0..n-1``.  Optional per-vertex labels are
 kept only for round-tripping named input; every algorithm works on ids.
-Graphs are immutable, so instances are safe to share between threads.  The
-sorted edge tuple and the label index are built on first use and cached;
-two threads may both build one, but they build equal values and either
-assignment is fine.
+Graphs are immutable by ownership: a graph keeps the adjacency sets its
+builder filled, one plain ``set`` per vertex, and nothing writes to them
+afterwards.  :meth:`Graph.neighbors` hands out a frozenset copy, and the
+hash is taken over the sorted edges and the labels.  So instances are safe
+to share between threads.  The sorted edge tuple and the label index are
+built on first use and cached; two threads may both build one, but they
+build equal values and either assignment is fine.
 """
 
 from __future__ import annotations
@@ -94,16 +97,20 @@ class Graph:
     def _build(self, adjacency: list[set[int]], labels: tuple[str, ...]) -> None:
         # The one place a Graph is finished.  ``adjacency`` must be
         # symmetric and loop-free over ids 0..n-1 and ``labels`` already
-        # checked.  The edge tuple is left to :meth:`edges`, since the
-        # recognizer and most queries read only the adjacency.
-        self._adjacency: tuple[frozenset[int], ...] = tuple(map(frozenset, adjacency))
+        # checked.  The graph keeps the sets, not copies: every caller
+        # hands over fresh sets and never touches them again, and no
+        # reader of ``_adjacency`` writes to it.  The edge tuple is left
+        # to :meth:`edges`, since the recognizer and most queries read
+        # only the adjacency.
+        self._adjacency: tuple[set[int], ...] = tuple(adjacency)
         self._labels: tuple[str, ...] = labels
         self._edges: tuple[Edge, ...] | None = None
         self._label_index: dict[str, int] | None = None
 
     @classmethod
     def _from_checked(cls, adjacency: list[set[int]], labels: tuple[str, ...]) -> Graph:
-        """A graph from parts that need no validation (see :meth:`_build`)."""
+        """A graph from parts that need no validation; it owns ``adjacency``'s
+        sets from then on (see :meth:`_build`)."""
         g = cls.__new__(cls)
         g._build(adjacency, labels)
         return g
@@ -131,8 +138,10 @@ class Graph:
         return self._edges
 
     def neighbors(self, v: int) -> frozenset[int]:
+        """A fresh frozenset of ``v``'s neighbours, so callers cannot reach
+        the graph's own set."""
         self._check_vertex(v)
-        return self._adjacency[v]
+        return frozenset(self._adjacency[v])
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -169,7 +178,7 @@ class Graph:
         return self._adjacency == other._adjacency and self._labels == other._labels
 
     def __hash__(self) -> int:
-        return hash((self._adjacency, self._labels))
+        return hash((self.edges(), self._labels))
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"

@@ -191,7 +191,7 @@ def is_total_dominating(g: Graph, candidate: Iterable[int]) -> bool:
     chosen = set(candidate)
     for v in chosen:
         g._check_vertex(v)
-    return all(g.neighbors(v) & chosen for v in g.vertices())
+    return all(near & chosen for near in g._adjacency)
 
 
 def _validated_edges(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> set[Edge]:
@@ -220,7 +220,7 @@ def is_matching(g: Graph, edges: Iterable[Edge | tuple[int, int]]) -> bool:
 
 
 def _extending_edge(
-    adjacency: Sequence[frozenset[int]], vertices: Sequence[int], covered: AbstractSet[int]
+    adjacency: Sequence[AbstractSet[int]], vertices: Sequence[int], covered: AbstractSet[int]
 ) -> Edge | None:
     """Least edge among sorted ``vertices`` with neither end in ``covered``."""
     for u in vertices:
@@ -375,7 +375,7 @@ _Search = tuple[Sequence, int, int, Callable[[], tuple[tuple[int, ...], int]]]
 
 
 def _total_domination_search(
-    adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
+    adjacency: Sequence[AbstractSet[int]], vertices: Sequence[int]
 ) -> _Search:
     """The search for the smallest total dominating sets of the component
     on sorted ``vertices`` (bit i is ``vertices[i]``), which has an edge.
@@ -460,7 +460,7 @@ def _total_domination_search(
 
 
 def _edge_masks(
-    adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
+    adjacency: Sequence[AbstractSet[int]], vertices: Sequence[int]
 ) -> tuple[list[tuple[int, int]], list[int] | dict[int, int], list[int]]:
     """The edge index of sorted ``vertices``, a union of components: its
     sorted edges as plain ``(u, v)`` id pairs, edge bit i for the i-th, the
@@ -481,7 +481,7 @@ def _edge_masks(
 
 
 def _maximal_matching_search(
-    adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
+    adjacency: Sequence[AbstractSet[int]], vertices: Sequence[int]
 ) -> _Search:
     """The search for the smallest maximal matchings on sorted
     ``vertices``, a union of components, whose items are the sorted edges

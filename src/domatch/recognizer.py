@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import repeat
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import AbstractSet, Mapping, NamedTuple, Sequence, Union
 
 from .characterization import (
     ConditionReport,
@@ -108,7 +108,7 @@ class RecognitionOutcome(NamedTuple):
 
 
 def _candidate_edges(
-    adjacency: Sequence[frozenset[int]], pinned: Mapping[int, set[int]]
+    adjacency: Sequence[AbstractSet[int]], pinned: Mapping[int, set[int]]
 ) -> tuple[Edge, ...]:
     """Middle edges a–a′ and b–b′ of the induced six-cycles x–a–a′–y–b′–b.
 
@@ -167,7 +167,7 @@ def check_degree_two_certificate(g: Graph, m: Matching) -> ConditionReport:
 
 
 def _component_certificate(
-    adjacency: Sequence[frozenset[int]], vertices: Sequence[int]
+    adjacency: Sequence[AbstractSet[int]], vertices: Sequence[int]
 ) -> Certificate:
     """Certificate for one connected component, given as sorted ``vertices``."""
     degrees = list(map(len, map(adjacency.__getitem__, vertices)))

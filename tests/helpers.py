@@ -45,10 +45,11 @@ def brute_total_domination(g: Graph) -> tuple[int, tuple[int, ...]]:
     the package solver promises.
     """
     vertices = list(g.vertices())
+    near = [g.neighbors(v) for v in vertices]
     for size in range(1, g.vertex_count + 1):
         for combo in itertools.combinations(vertices, size):
             chosen = set(combo)
-            if all(g.neighbors(v) & chosen for v in vertices):
+            if all(n & chosen for n in near):
                 return size, combo
     raise AssertionError("no total dominating set: isolated vertex present")
 
@@ -168,8 +169,9 @@ def definition_conditions(
     partners as the whole neighborhood of some vertex.
     """
     vertices = list(g.vertices())
-    sup = {w for v in vertices if g.degree(v) == 1 for w in g.neighbors(v)}
-    s_plus = {v for v in sup if g.neighbors(v) & sup}
+    near = [g.neighbors(v) for v in vertices]
+    sup = {w for v in vertices if len(near[v]) == 1 for w in near[v]}
+    s_plus = {v for v in sup if near[v] & sup}
     s_minus = sup - s_plus
     partner = {}
     for e in edges:
@@ -193,13 +195,13 @@ def definition_conditions(
         found.append(("ii", (), tuple(crooked)))
     pool = sorted(s_minus | {w for e in m_star for w in e})
     for v in pool:
-        seen = g.neighbors(v) & set(partner)
+        seen = near[v] & set(partner)
         if seen != {partner.get(v)}:
             found.append(("iii", (v, *sorted(seen)), ()))
     for u, v in itertools.combinations(pool, 2):
-        if g.neighbors(u) & g.neighbors(v):
+        if near[u] & near[v]:
             wanted = {partner[u], partner[v]}
-            if not any(g.neighbors(w) == wanted for w in vertices):
+            if not any(n == wanted for n in near):
                 found.append(("iv", (u, v), ()))
     failed = {name for name, _, _ in found}
     return {c: c not in failed for c in ("i", "ii", "iii", "iv")}, found

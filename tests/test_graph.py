@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -12,10 +13,14 @@ from domatch import (
     ExceptionalBook,
     ExceptionalSixCycle,
     Graph,
+    TightGraphParams,
+    check_matching_bound,
     connected_components,
+    find_certifying_matching,
     girth,
     min_degree,
     parse_edge_list,
+    random_tight_graph,
     recognize,
     serialize_edge_list,
     support_classification,
@@ -103,6 +108,27 @@ def test_graph_equality_includes_labels():
     assert a != b
     assert a == Graph(2, [(1, 0)])
     assert hash(a) == hash(Graph(2, [(0, 1)]))
+
+
+def test_graph_owns_the_sets_its_builder_filled():
+    # One container per vertex: the builder keeps the sets it is handed,
+    # and a caller only ever sees a frozenset copy of one.
+    adjacency = [{1, 2}, {0}, {0}]
+    g = Graph._from_checked(adjacency, ("a", "b", "c"))
+    assert all(g._adjacency[i] is adjacency[i] for i in range(3))
+    book = triangle_book(1000)
+    built = [
+        book,
+        parse_edge_list(serialize_edge_list(book)),
+        Graph(book.vertex_count, book.edges(), book.labels),
+    ]
+    for h in built:
+        assert all(type(near) is set for near in h._adjacency)
+        for v in h.vertices():
+            near = h.neighbors(v)
+            assert type(near) is frozenset and near == h._adjacency[v]
+    assert built[0] == built[1] == built[2]
+    assert len({hash(h) for h in built}) == 1
 
 
 def test_vertex_with_label():
@@ -315,6 +341,48 @@ def test_parse_then_recognize_never_lists_edges(build):
 @given(small_graphs())
 def test_round_trip_random(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+def _outcome(solve, g):
+    try:
+        return solve(g)
+    except DomainError as error:
+        return type(error), str(error)
+
+
+def check_edge_order_invariance(g, rng):
+    # The layout of an adjacency set follows the order its edges were
+    # added in, so no answer may depend on it.
+    header, *lines = serialize_edge_list(g).splitlines()
+    lines = [" ".join(reversed(line.split())) for line in lines]
+    rng.shuffle(lines)
+    h = parse_edge_list("\n".join([header, *lines]) + "\n")
+    assert h == g and hash(h) == hash(g)
+    delta = min_degree(g)
+    if delta == 2:
+        assert _outcome(recognize, h) == _outcome(recognize, g)
+    if 1 <= delta <= 2:
+        assert _outcome(find_certifying_matching, h) == _outcome(find_certifying_matching, g)
+    if g.vertex_count <= 24:
+        assert _outcome(check_matching_bound, h) == _outcome(check_matching_bound, g)
+
+
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_answers_do_not_depend_on_edge_order(g, rng):
+    check_edge_order_invariance(g, rng)
+
+
+@pytest.mark.parametrize(
+    "params, seeds",
+    [
+        (TightGraphParams(max_k2=6, max_a=3, mark_probability=0.3, max_vertices=24), range(8)),
+        (TightGraphParams(max_k2=20, max_a=8, mark_probability=0.0, max_vertices=64), range(6)),
+    ],
+    ids=["leafy", "leafless"],
+)
+def test_answers_on_tight_graphs_do_not_depend_on_edge_order(params, seeds):
+    for seed in seeds:
+        check_edge_order_invariance(random_tight_graph(seed, params)[0], random.Random(seed))
 
 
 @given(small_graphs())
